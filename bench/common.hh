@@ -2,9 +2,9 @@
  * @file
  * Shared plumbing for the benchmark harness.
  *
- * Every bench binary regenerates one table or figure of the paper.
- * Binaries run unattended with defaults tuned so the whole harness
- * finishes in minutes; `--scale=<f>` / `--procs=<n>` (or the
+ * Every bench module regenerates one table or figure of the paper.
+ * Modules run unattended under tools/cpxbench with defaults tuned so
+ * the whole harness finishes in minutes; `--scale=<f>` / `--procs=<n>` (or the
  * CPX_SCALE environment variable) rescale the workloads, and
  * `--jobs=<n>` / `--json=<path>` select the host parallelism and the
  * machine-readable output of the sweep runner (bench/runner.hh).
@@ -20,26 +20,6 @@
 
 namespace cpx::bench
 {
-
-/**
- * Run one (application × machine) configuration serially, on the
- * calling thread. Bench modules queue grids on a SweepRunner
- * instead; this is for one-off runs (tests, exploratory tools).
- */
-inline WorkloadRun
-runOne(const std::string &app, MachineParams params,
-       const Options &opts)
-{
-    params.numProcs = opts.procs;
-    System sys(params);
-    auto w = makeWorkload(app, opts.scale, opts.seed);
-    WorkloadRun run = runWorkload(sys, *w);
-    if (!run.verified) {
-        SweepPoint point{app, params, "", opts.scale, opts.seed};
-        fatal("%s failed verification", describePoint(point).c_str());
-    }
-    return run;
-}
 
 /**
  * Render guard for fault-isolated sweeps: true iff every handle in

@@ -5,7 +5,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 namespace cpx::bench
@@ -36,24 +35,6 @@ append(std::string &out, const char *fmt, ...)
         out.resize(old + static_cast<std::size_t>(needed));
     }
     va_end(args);
-}
-
-double
-numberOr(const JsonValue &obj, const char *key, double fallback)
-{
-    if (obj.kind == JsonValue::Kind::Object && obj.has(key) &&
-        obj.at(key).kind == JsonValue::Kind::Number)
-        return obj.at(key).number;
-    return fallback;
-}
-
-std::string
-textOr(const JsonValue &obj, const char *key, const char *fallback)
-{
-    if (obj.kind == JsonValue::Kind::Object && obj.has(key) &&
-        obj.at(key).kind == JsonValue::Kind::String)
-        return obj.at(key).text;
-    return fallback;
 }
 
 /** The five breakdown components, in paper bar order. */
@@ -239,51 +220,15 @@ renderDirectoryPressure(const std::vector<JsonValue> &points,
 
 // --- section 3: mesh link utilization -------------------------------------
 
-/** One column of a point's timeseries block, decoded. */
-struct SeriesView
+/** The point's sampled series; empty if absent or malformed. */
+MetricTimeSeries
+seriesOf(const JsonValue &point)
 {
-    double interval = 0;
-    std::vector<std::string> names;
-    const JsonValue *deltas = nullptr;  //!< array of row arrays
-    const JsonValue *ticks = nullptr;
-
-    std::size_t
-    rows() const
-    {
-        return deltas ? deltas->items.size() : 0;
-    }
-
-    double
-    at(std::size_t row, std::size_t col) const
-    {
-        return deltas->items[row].items[col].number;
-    }
-};
-
-/** Decode a structurally valid timeseries block; false otherwise. */
-bool
-viewSeries(const JsonValue &point, SeriesView &view)
-{
-    if (!point.has("timeseries"))
-        return false;
-    const JsonValue &ts = point.at("timeseries");
-    if (ts.kind != JsonValue::Kind::Object || !ts.has("interval") ||
-        !ts.has("metrics") || !ts.has("deltas") || !ts.has("ticks"))
-        return false;
-    view.interval = numberOr(ts, "interval", 0);
-    if (view.interval <= 0)
-        return false;
-    view.names.clear();
-    for (const JsonValue &name : ts.at("metrics").items)
-        view.names.push_back(name.text);
-    view.deltas = &ts.at("deltas");
-    view.ticks = &ts.at("ticks");
-    if (view.deltas->items.size() != view.ticks->items.size())
-        return false;
-    for (const JsonValue &row : view.deltas->items)
-        if (row.items.size() != view.names.size())
-            return false;
-    return true;
+    RunResult stats;
+    std::string error;
+    if (!readOptionalBlocks(point, stats, error))
+        return {};
+    return std::move(stats.timeseries);
 }
 
 void
@@ -294,8 +239,8 @@ renderLinkUtilization(const std::vector<JsonValue> &points,
 
     bool rendered = false;
     for (const JsonValue &point : points) {
-        SeriesView view;
-        if (!viewSeries(point, view) || view.rows() == 0)
+        const MetricTimeSeries ts = seriesOf(point);
+        if (ts.empty())
             continue;
 
         // Mesh links register one flit column per link; links are
@@ -310,10 +255,9 @@ renderLinkUtilization(const std::vector<JsonValue> &points,
             double waitTicks = 0;
         };
         std::vector<Link> links;
-        double last_tick =
-            view.ticks->items[view.rows() - 1].number;
-        for (std::size_t col = 0; col < view.names.size(); ++col) {
-            const std::string &name = view.names[col];
+        double last_tick = ts.ticks.back();
+        for (std::size_t col = 0; col < ts.names.size(); ++col) {
+            const std::string &name = ts.names[col];
             constexpr const char suffix[] = ".flits";
             if (name.rfind("mesh.", 0) != 0 ||
                 name.size() < sizeof(suffix) ||
@@ -324,26 +268,25 @@ renderLinkUtilization(const std::vector<JsonValue> &points,
             link.name = name.substr(
                 0, name.size() - (sizeof(suffix) - 1));
             double total = 0;
-            for (std::size_t row = 0; row < view.rows(); ++row) {
-                double delta = view.at(row, col);
+            for (std::size_t row = 0; row < ts.rows(); ++row) {
+                double delta = ts.at(row, col);
                 total += delta;
                 // The last row usually covers a partial window;
                 // normalizing it by the full interval can only
                 // under-report, never inflate the peak.
-                double util = delta / view.interval;
+                double util = delta / ts.interval;
                 if (util > link.peak) {
                     link.peak = util;
-                    link.peakTick = view.ticks->items[row].number;
+                    link.peakTick = ts.ticks[row];
                 }
             }
             link.mean = last_tick > 0 ? total / last_tick : 0;
             // The paired waitTicks column, if present, is the
             // queueing-delay signal for the same link.
-            for (std::size_t w = 0; w < view.names.size(); ++w) {
-                if (view.names[w] == link.name + ".waitTicks") {
-                    for (std::size_t row = 0; row < view.rows();
-                         ++row)
-                        link.waitTicks += view.at(row, w);
+            for (std::size_t w = 0; w < ts.names.size(); ++w) {
+                if (ts.names[w] == link.name + ".waitTicks") {
+                    for (std::size_t row = 0; row < ts.rows(); ++row)
+                        link.waitTicks += ts.at(row, w);
                     break;
                 }
             }
@@ -526,18 +469,16 @@ renderAnomalies(const std::vector<JsonValue> &points,
     std::vector<Anomaly> anomalies;
 
     for (std::size_t pi = 0; pi < points.size(); ++pi) {
-        SeriesView view;
-        if (!viewSeries(points[pi], view))
-            continue;
-        std::size_t rows = view.rows();
+        const MetricTimeSeries ts = seriesOf(points[pi]);
+        std::size_t rows = ts.rows();
         // With fewer than four windows a "deviation from the run
         // mean" is noise, not phase behavior.
         if (rows < 4)
             continue;
-        for (std::size_t col = 0; col < view.names.size(); ++col) {
+        for (std::size_t col = 0; col < ts.names.size(); ++col) {
             double sum = 0, sq = 0;
             for (std::size_t row = 0; row < rows; ++row) {
-                double v = view.at(row, col);
+                double v = ts.at(row, col);
                 sum += v;
                 sq += v * v;
             }
@@ -547,15 +488,15 @@ renderAnomalies(const std::vector<JsonValue> &points,
                 continue;
             double sigma = std::sqrt(variance);
             for (std::size_t row = 0; row < rows; ++row) {
-                double v = view.at(row, col);
+                double v = ts.at(row, col);
                 double score = std::fabs(v - mean) / sigma;
                 if (score <= 2.0)
                     continue;
                 Anomaly a;
                 a.score = score;
                 a.point = pi;
-                a.metric = view.names[col];
-                a.tick = view.ticks->items[row].number;
+                a.metric = ts.names[col];
+                a.tick = ts.ticks[row];
                 a.delta = v;
                 a.mean = mean;
                 a.label = describeShort(points[pi]);
@@ -600,8 +541,7 @@ bool
 generateReport(const JsonValue &doc, const ReportOptions &opts,
                std::string &out, std::string &error)
 {
-    if (doc.kind != JsonValue::Kind::Object || !doc.has("schema") ||
-        doc.at("schema").text != "cpx-sweep-1") {
+    if (textOr(doc, "schema", "") != "cpx-sweep-1") {
         error = "missing cpx-sweep-1 schema marker";
         return false;
     }
@@ -656,19 +596,9 @@ generateReportFile(const std::string &json_path,
                    const ReportOptions &opts,
                    const std::string &out_path, std::string &error)
 {
-    std::ifstream file(json_path, std::ios::binary);
-    if (!file) {
-        error = "cannot open '" + json_path + "'";
-        return false;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-
     JsonValue doc;
-    if (!parseJson(text.str(), doc, error)) {
-        error = json_path + ": " + error;
+    if (!loadJsonFile(json_path, doc, error))
         return false;
-    }
 
     std::string report;
     if (!generateReport(doc, opts, report, error)) {

@@ -3,8 +3,8 @@
  * Markdown report generation from cpx-sweep-1 JSON documents.
  *
  * tools/cpxreport is a thin wrapper around this: load a sweep results
- * file (as written by cpxbench/standalone bench binaries), render a
- * human-readable markdown report, write it to stdout or a file. The
+ * file (as written by cpxbench), render a human-readable markdown
+ * report, write it to stdout or a file. The
  * generator lives in the bench library so tests can drive it
  * directly and CI can golden-file its output.
  *

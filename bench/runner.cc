@@ -15,6 +15,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -79,16 +80,10 @@ jsonNumber(double v)
     return buf;
 }
 
-std::string
-jsonNumber(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
 /**
  * Exact u64 readback: the parser keeps each number's raw token in
  * JsonValue::text, so integers beyond 2^53 (which a double cannot
- * hold exactly) still round-trip through the wire format.
+ * hold exactly) still round-trip through point records.
  */
 std::uint64_t
 jsonU64(const JsonValue &v)
@@ -211,7 +206,7 @@ executeRealPoint(const SweepPoint &point, Tick sample_interval,
 
 /**
  * Worker-subprocess body: run the point (or act out its synthetic
- * fault), write one cpx-wire-1 line to @p fd, and _exit. Never
+ * fault), write its point record as one line to @p fd, and _exit. Never
  * returns. Runs straight after fork() from the single-threaded
  * supervisor, so arbitrary library code is safe here.
  */
@@ -230,7 +225,7 @@ runWorkerChild(const SweepPoint &point, Tick sample_interval,
         for (;;)
             ::pause();
     } else if (point.app == faultAppGarbage) {
-        const char garbage[] = "** this is not a wire record **\n";
+        const char garbage[] = "** this is not a point record **\n";
         writeAll(fd, garbage, sizeof(garbage) - 1);
         _exit(0);
     } else if (point.app == faultAppFlaky) {
@@ -261,12 +256,61 @@ runWorkerChild(const SweepPoint &point, Tick sample_interval,
         res.status = PointStatus::InvariantFailure;
         res.error = "self-test: forced verification failure";
     }
-    std::string line = serializeWireResult(res);
-    line += '\n';
+    std::string line = writePoint(res) + '\n';
     writeAll(fd, line.data(), line.size());
     ::close(fd);
     _exit(0);
 }
+
+/**
+ * Host workers for a batch of @p points: --jobs (0 = every host
+ * core), never more than there are points.
+ */
+unsigned
+batchJobs(unsigned jobs, std::size_t points)
+{
+    if (jobs == 0)
+        jobs = std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(std::min<std::size_t>(jobs, points));
+}
+
+/**
+ * Per-point completion reporting: a live one-line ticker on a
+ * terminal, one plain line per point otherwise (CI logs). Both show
+ * running events/sec and an ETA extrapolated from the mean host cost
+ * of the points completed so far — coarse under a heterogeneous
+ * grid, but it replaces a silent multi-minute gap. Thread-safe.
+ */
+struct Progress
+{
+    explicit Progress(std::size_t total_points) : total(total_points) {}
+
+    void
+    done(const SweepResult &r)
+    {
+        std::lock_guard<std::mutex> hold(mutex);
+        ++completed;
+        events += r.run.stats.eventsExecuted;
+        std::chrono::duration<double> elapsed = SteadyClock::now() - start;
+        double secs = elapsed.count();
+        double rate = secs > 0 ? events / secs : 0.0;
+        double eta = secs / completed * (total - completed);
+        std::fprintf(stderr,
+                     "%s[%zu/%zu] %s %s%s%s | %.3g Mev/s | ETA %.0fs%s",
+                     tty ? "\r\033[K" : "", completed, total,
+                     r.point.tag.empty() ? "point" : r.point.tag.c_str(),
+                     r.point.app.c_str(), r.ok() ? "" : " !",
+                     r.ok() ? "" : pointStatusName(r.status), rate / 1e6,
+                     eta, tty && completed != total ? "" : "\n");
+    }
+
+    const std::size_t total;
+    std::size_t completed = 0;
+    std::uint64_t events = 0;
+    const bool tty = isatty(fileno(stderr)) != 0;
+    const SteadyClock::time_point start = SteadyClock::now();
+    std::mutex mutex;
+};
 
 /** Capped exponential backoff before retry @p attempt (1-based). */
 double
@@ -333,7 +377,7 @@ pointConfigHash(const SweepPoint &point, Tick sample_interval,
     // --sim-threads is deliberately absent: the parallel kernel is
     // bit-identical at every worker count, so cached results are
     // interchangeable across thread configurations.
-    key << "cpx-point-2|" << point.app << '|' << d(point.scale) << '|'
+    key << "cpx-point-3|" << point.app << '|' << d(point.scale) << '|'
         << point.seed << '|' << sample_interval << '|' << p.numProcs
         << '|' << p.blockBytes << '|' << p.pageBytes << '|'
         << p.flcBytes << '|' << p.flcHitLatency << '|'
@@ -371,9 +415,9 @@ pointConfigHash(const SweepPoint &point, Tick sample_interval,
 }
 
 Options
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv, Options opts,
+             const ExtraOption &extra)
 {
-    Options opts;
     if (const char *env = std::getenv("CPX_SCALE"))
         opts.scale = parsePositiveDouble(env, "CPX_SCALE");
     for (int i = 1; i < argc; ++i) {
@@ -421,7 +465,7 @@ parseOptions(int argc, char **argv)
                 opts.journalPath = opts.resumePath;
         } else if (std::strncmp(arg, "--cache=", 8) == 0)
             opts.cachePath = arg + 8;
-        else
+        else if (!extra || !extra(arg, opts))
             fatal("unknown option '%s' (use --scale=F --procs=N "
                   "--jobs=N --seed=N --json=PATH "
                   "--sample-interval=N --attrib --sim-threads=N "
@@ -482,6 +526,11 @@ SweepRunner::loadResumeJournal()
     resumeLoaded = true;
     JournalLoad load = loadJournal(opts.resumePath);
     resumeByHash = std::move(load.byHash);
+    if (load.stale)
+        std::fprintf(stderr,
+                     "cpxbench: %zu stale cpx-wire-1 record(s) in %s "
+                     "ignored; their points re-run\n",
+                     load.stale, opts.resumePath.c_str());
     if (load.quarantined)
         std::fprintf(stderr,
                      "cpxbench: %zu corrupt journal line(s) in %s "
@@ -508,8 +557,7 @@ SweepRunner::journalAppend(const SweepResult &res)
             fatal("cannot open journal '%s': %s",
                   opts.journalPath.c_str(), std::strerror(errno));
     }
-    std::string line = serializeWireResult(res);
-    line += '\n';
+    std::string line = writePoint(res) + '\n';
     // Durability before ack: the record must be on disk before the
     // point counts as done, or a crash right after could leave a
     // resumed run believing less than it had finished (safe) — but
@@ -532,7 +580,7 @@ SweepRunner::cacheStore(const SweepResult &res)
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), ".tmp.%ld",
                   static_cast<long>(::getpid()));
-    if (!atomicWriteFile(path, serializeWireResult(res) + "\n",
+    if (!atomicWriteFile(path, writePoint(res) + "\n",
                          suffix, error))
         std::fprintf(stderr, "cpxbench: cache store failed: %s\n",
                      error.c_str());
@@ -553,7 +601,7 @@ SweepRunner::cacheLookup(const std::string &hash,
         return false;
     std::string error;
     SweepResult parsed;
-    if (!parseWireResult(line, parsed, error) ||
+    if (!readPoint(line, parsed, error) ||
         parsed.status != PointStatus::Ok || parsed.configHash != hash) {
         std::fprintf(stderr,
                      "cpxbench: ignoring bad cache entry %s%s%s\n",
@@ -564,15 +612,6 @@ SweepRunner::cacheLookup(const std::string &hash,
     out = std::move(parsed);
     out.source = ResultSource::Cache;
     return true;
-}
-
-bool
-SweepRunner::anyFailed() const
-{
-    for (const SweepResult &r : done)
-        if (!r.ok())
-            return true;
-    return false;
 }
 
 std::size_t
@@ -657,33 +696,20 @@ SweepRunner::runAll()
         SteadyClock::now() - wall_start;
     hostSeconds += wall.count();
 
-    if (interruptedFlag) {
-        // Keep whatever finished (it is journaled); callers check
-        // interrupted() and skip rendering/JSON.
-        for (SweepResult &r : batch)
-            done.push_back(std::move(r));
-        queued.clear();
-        return;
-    }
-
-    // The historical in-process contract: a failed point is fatal,
-    // after every point has run, naming each failure so it can be
-    // reproduced alone. Process isolation records failures as data
-    // instead; callers consult anyFailed() for the exit policy.
-    std::string failures;
-    if (opts.isolate == IsolateMode::None) {
-        for (const SweepResult &r : batch)
-            if (!r.ok())
-                failures += "\n  [" +
-                            std::string(pointStatusName(r.status)) +
-                            "] " + describePoint(r.point);
-    }
+    // An interrupted run keeps whatever finished (it is journaled);
+    // callers check interrupted() and skip rendering/JSON.
     for (SweepResult &r : batch)
         done.push_back(std::move(r));
     queued.clear();
-    if (!failures.empty())
+
+    // The historical in-process contract: a failed point is fatal,
+    // after every point has run, naming each failure so it can be
+    // reproduced alone (earlier batches cannot have failed). Process
+    // isolation records failures as data instead; callers consult
+    // anyFailed() for the exit policy.
+    if (opts.isolate == IsolateMode::None && anyFailed())
         fatal("sweep point(s) failed verification:%s",
-              failures.c_str());
+              failureSummary().c_str());
 }
 
 void
@@ -691,37 +717,7 @@ SweepRunner::runBatchInProcess(std::vector<SweepResult> &batch,
                                const std::vector<std::size_t> &todo)
 {
     std::atomic<std::size_t> next{0};
-    auto wall_start = SteadyClock::now();
-
-    // Per-point completion reporting: a live one-line ticker on a
-    // terminal, one plain line per point otherwise (CI logs). Both
-    // show running events/sec and an ETA extrapolated from the mean
-    // host cost of the points completed so far — coarse under a
-    // heterogeneous grid, but it replaces a silent multi-minute gap.
-    const bool tty = isatty(fileno(stderr)) != 0;
-    std::mutex progress_mutex;
-    std::size_t completed = 0;
-    std::uint64_t events_done = 0;
-    auto report_progress = [&](const SweepResult &r) {
-        std::lock_guard<std::mutex> hold(progress_mutex);
-        ++completed;
-        events_done += r.run.stats.eventsExecuted;
-        std::chrono::duration<double> elapsed =
-            SteadyClock::now() - wall_start;
-        double secs = elapsed.count();
-        double rate = secs > 0 ? events_done / secs : 0.0;
-        double eta = completed ? secs / completed *
-                                     (todo.size() - completed)
-                               : 0.0;
-        std::fprintf(stderr,
-                     "%s[%zu/%zu] %s %s | %.3g Mev/s | ETA %.0fs%s",
-                     tty ? "\r\033[K" : "", completed, todo.size(),
-                     r.point.tag.empty() ? "point"
-                                         : r.point.tag.c_str(),
-                     r.point.app.c_str(), rate / 1e6, eta,
-                     tty && completed != todo.size() ? "" : "\n");
-    };
-
+    Progress progress(todo.size());
     auto worker = [&]() {
         for (;;) {
             std::size_t t = next.fetch_add(1);
@@ -736,14 +732,11 @@ SweepRunner::runBatchInProcess(std::vector<SweepResult> &batch,
             journalAppend(res);
             cacheStore(res);
             batch[i] = std::move(res);
-            report_progress(batch[i]);
+            progress.done(batch[i]);
         }
     };
 
-    unsigned jobs = opts.jobs;
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min<std::size_t>(jobs, todo.size());
+    unsigned jobs = batchJobs(opts.jobs, todo.size());
     if (jobs <= 1) {
         worker();
     } else {
@@ -787,11 +780,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
     for (std::size_t i : todo)
         pending.push_back({i, 1, SteadyClock::now()});
     std::vector<Worker> live;
-
-    unsigned jobs = opts.jobs;
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min<std::size_t>(jobs, todo.size());
+    const unsigned jobs = batchJobs(opts.jobs, todo.size());
 
     // SIGINT/SIGTERM request a graceful stop: no new dispatches,
     // live workers killed and reaped, journal already durable. No
@@ -803,31 +792,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
     sigaction(SIGINT, &sa, &old_int);
     sigaction(SIGTERM, &sa, &old_term);
 
-    const bool tty = isatty(fileno(stderr)) != 0;
-    std::size_t completed = 0;
-    std::uint64_t events_done = 0;
-    auto wall_start = SteadyClock::now();
-    auto report_progress = [&](const SweepResult &r) {
-        ++completed;
-        events_done += r.run.stats.eventsExecuted;
-        std::chrono::duration<double> elapsed =
-            SteadyClock::now() - wall_start;
-        double secs = elapsed.count();
-        double rate = secs > 0 ? events_done / secs : 0.0;
-        double eta = completed ? secs / completed *
-                                     (todo.size() - completed)
-                               : 0.0;
-        std::fprintf(stderr,
-                     "%s[%zu/%zu] %s %s%s%s | %.3g Mev/s | "
-                     "ETA %.0fs%s",
-                     tty ? "\r\033[K" : "", completed, todo.size(),
-                     r.point.tag.empty() ? "point"
-                                         : r.point.tag.c_str(),
-                     r.point.app.c_str(), r.ok() ? "" : " !",
-                     r.ok() ? "" : pointStatusName(r.status),
-                     rate / 1e6, eta,
-                     tty && completed != todo.size() ? "" : "\n");
-    };
+    Progress progress(todo.size());
 
     auto spawn = [&](const Pending &p) {
         int fds[2];
@@ -891,14 +856,14 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
             res.error = "exited with status " +
                         std::to_string(WEXITSTATUS(wstatus));
         } else {
-            // Clean exit: the single wire line is the result.
+            // Clean exit: the single point record is the result.
             std::string line = w.buf;
             while (!line.empty() && (line.back() == '\n' ||
                                      line.back() == '\r'))
                 line.pop_back();
             SweepResult parsed;
             std::string perr;
-            if (parseWireResult(line, parsed, perr)) {
+            if (readPoint(line, parsed, perr)) {
                 res.run = std::move(parsed.run);
                 res.status = parsed.status;
                 res.error = parsed.error;
@@ -932,7 +897,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
         cacheStore(res);
         ++executed;
         batch[w.index] = std::move(res);
-        report_progress(batch[w.index]);
+        progress.done(batch[w.index]);
     };
 
     while ((!pending.empty() || !live.empty()) && !g_stopRequested) {
@@ -1026,7 +991,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
         std::fprintf(stderr,
                      "\ncpxbench: interrupted — %zu/%zu point(s) "
                      "completed%s\n",
-                     completed, todo.size(),
+                     progress.completed, todo.size(),
                      opts.journalPath.empty()
                          ? ""
                          : "; journaled work is resumable with "
@@ -1055,11 +1020,6 @@ writeJson(const std::string &path, const std::string &suite,
           const std::vector<SweepResult> &results,
           double total_host_seconds)
 {
-    std::ostringstream out;
-    auto str = [](const std::string &s) {
-        return "\"" + jsonEscape(s) + "\"";
-    };
-
     char timestamp[32] = "";
     std::time_t now = std::time(nullptr);
     std::tm tm_utc{};
@@ -1067,315 +1027,33 @@ writeJson(const std::string &path, const std::string &suite,
         std::strftime(timestamp, sizeof(timestamp),
                       "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
 
-    out << "{\n";
-    out << "  \"schema\": \"cpx-sweep-1\",\n";
-    out << "  \"suite\": " << str(suite) << ",\n";
-    out << "  \"timestamp\": " << str(timestamp) << ",\n";
-    out << "  \"jobs\": " << opts.jobs << ",\n";
-    out << "  \"scale\": " << jsonNumber(opts.scale) << ",\n";
-    out << "  \"procs\": " << opts.procs << ",\n";
-    out << "  \"simThreads\": " << opts.simThreads << ",\n";
-    out << "  \"hostSeconds\": " << jsonNumber(total_host_seconds)
-        << ",\n";
-
     // Suite-level throughput: the perf trajectory CI tracks. Event
     // counts are simulated (bit-identical across hosts and --jobs);
     // only the divide by host time varies.
     std::uint64_t total_events = 0;
     for (const SweepResult &r : results)
         total_events += r.run.stats.eventsExecuted;
-    out << "  \"totalEvents\": " << jsonNumber(total_events) << ",\n";
+
+    std::ostringstream out;
+    out << "{\n";
+    out << "  \"schema\": \"cpx-sweep-1\",\n";
+    out << "  \"suite\": \"" << jsonEscape(suite) << "\",\n";
+    out << "  \"timestamp\": \"" << timestamp << "\",\n";
+    out << "  \"jobs\": " << opts.jobs << ",\n";
+    out << "  \"scale\": " << jsonNumber(opts.scale) << ",\n";
+    out << "  \"procs\": " << opts.procs << ",\n";
+    out << "  \"simThreads\": " << opts.simThreads << ",\n";
+    out << "  \"hostSeconds\": " << jsonNumber(total_host_seconds)
+        << ",\n";
+    out << "  \"totalEvents\": " << total_events << ",\n";
     out << "  \"eventsPerSec\": "
         << jsonNumber(total_host_seconds > 0
                           ? total_events / total_host_seconds
                           : 0.0)
         << ",\n";
     out << "  \"points\": [";
-
-    bool first = true;
-    for (const SweepResult &r : results) {
-        const RunResult &s = r.run.stats;
-        const MachineParams &p = r.point.params;
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    {\n";
-        out << "      \"tag\": " << str(r.point.tag) << ",\n";
-        out << "      \"app\": " << str(r.point.app) << ",\n";
-        out << "      \"config\": {"
-            << "\"protocol\": " << str(p.protocol.name()) << ", "
-            << "\"consistency\": "
-            << str(r.ok() ? s.consistency
-                          : std::string(
-                                p.consistency ==
-                                        Consistency::
-                                            SequentialConsistency
-                                    ? "SC"
-                                    : "RC"))
-            << ", "
-            << "\"network\": " << str(networkName(p)) << ", "
-            << "\"procs\": " << p.numProcs << ", "
-            << "\"scale\": " << jsonNumber(r.point.scale) << ", "
-            << "\"seed\": " << jsonNumber(r.point.seed) << ", "
-            << "\"slcBytes\": " << p.slcBytes << ", "
-            << "\"threshold\": " << p.competitiveThreshold << ", "
-            << "\"writeCache\": "
-            << (p.writeCacheEnabled ? "true" : "false") << "},\n";
-        // New members ride as siblings of the gated stats fields so
-        // a pre-existing baseline stays comparable (see the gated[]
-        // list in compareToBaseline). The directory block in
-        // particular must NOT join the gated "config" object:
-        // jsonEquals compares member counts, so growing "config"
-        // would orphan every committed baseline.
-        out << "      \"directory\": {"
-            << "\"rep\": " << str(p.directory.name());
-        if (r.ok())
-            out << ", \"overflowBroadcasts\": "
-                << jsonNumber(s.dirOverflowBroadcasts)
-                << ", \"pointerEvictions\": "
-                << jsonNumber(s.dirPointerEvictions);
-        out << "},\n";
-        if (!r.configHash.empty())
-            out << "      \"configHash\": " << str(r.configHash)
-                << ",\n";
-        out << "      \"status\": "
-            << str(pointStatusName(r.status)) << ",\n";
-        out << "      \"attempts\": " << r.attempts << ",\n";
-        if (!r.ok()) {
-            // Failed point: no stats were produced (or none that can
-            // be trusted) — record the classification and move on so
-            // a partially-failed suite still yields a valid file.
-            out << "      \"error\": " << str(r.error) << ",\n";
-            out << "      \"verified\": false,\n";
-            out << "      \"hostSeconds\": "
-                << jsonNumber(r.hostSeconds) << "\n";
-            out << "    }";
-            continue;
-        }
-        out << "      \"verified\": "
-            << (r.run.verified ? "true" : "false") << ",\n";
-        out << "      \"execTime\": "
-            << jsonNumber(static_cast<std::uint64_t>(r.run.execTime))
-            << ",\n";
-        out << "      \"breakdown\": {"
-            << "\"busy\": " << jsonNumber(s.busy) << ", "
-            << "\"readStall\": " << jsonNumber(s.readStall) << ", "
-            << "\"writeStall\": " << jsonNumber(s.writeStall) << ", "
-            << "\"acquireStall\": " << jsonNumber(s.acquireStall)
-            << ", "
-            << "\"releaseStall\": " << jsonNumber(s.releaseStall)
-            << "},\n";
-        out << "      \"misses\": {"
-            << "\"coldPct\": " << jsonNumber(s.coldMissRate()) << ", "
-            << "\"cohPct\": " << jsonNumber(s.cohMissRate()) << ", "
-            << "\"sharedAccesses\": " << jsonNumber(s.sharedAccesses)
-            << ", "
-            << "\"coldRead\": " << jsonNumber(s.coldReadMisses) << ", "
-            << "\"cohRead\": " << jsonNumber(s.cohReadMisses) << ", "
-            << "\"replRead\": " << jsonNumber(s.replReadMisses) << ", "
-            << "\"write\": " << jsonNumber(s.writeMissesTotal)
-            << ", "
-            << "\"avgReadLatency\": "
-            << jsonNumber(s.avgReadMissLatency) << "},\n";
-        out << "      \"traffic\": {"
-            << "\"bytes\": " << jsonNumber(s.netBytes) << ", "
-            << "\"messages\": " << jsonNumber(s.netMessages) << "},\n";
-        out << "      \"protocolEvents\": {"
-            << "\"prefetchesIssued\": "
-            << jsonNumber(s.prefetchesIssued) << ", "
-            << "\"prefetchesUseful\": "
-            << jsonNumber(s.prefetchesUseful) << ", "
-            << "\"softwarePrefetches\": "
-            << jsonNumber(s.softwarePrefetches) << ", "
-            << "\"combinedWrites\": " << jsonNumber(s.combinedWrites)
-            << ", "
-            << "\"migratoryDetections\": "
-            << jsonNumber(s.migratoryDetections) << ", "
-            << "\"invalidationsSent\": "
-            << jsonNumber(s.invalidationsSent) << "},\n";
-        auto hist = [&](const char *key, const Histogram &h,
-                        const char *tail) {
-            const Accumulator &a = h.summary();
-            out << "\"" << key << "\": {"
-                << "\"count\": " << jsonNumber(a.count()) << ", "
-                << "\"mean\": " << jsonNumber(a.mean()) << ", "
-                << "\"min\": " << jsonNumber(a.min()) << ", "
-                << "\"max\": " << jsonNumber(a.max()) << ", "
-                << "\"p50\": " << jsonNumber(h.percentile(0.50))
-                << ", "
-                << "\"p90\": " << jsonNumber(h.percentile(0.90))
-                << ", "
-                << "\"p99\": " << jsonNumber(h.percentile(0.99))
-                << ", "
-                << "\"bucketWidth\": "
-                << jsonNumber(h.bucketWidth()) << ", "
-                << "\"overflow\": "
-                << jsonNumber(h.overflowCount()) << ", "
-                << "\"buckets\": [";
-            // Trim trailing zero buckets: the geometry is fixed, so
-            // the baseline diff stays byte-stable and compact.
-            const auto &counts = h.bucketCounts();
-            std::size_t last = counts.size();
-            while (last > 0 && counts[last - 1] == 0)
-                --last;
-            for (std::size_t b = 0; b < last; ++b)
-                out << (b ? ", " : "") << jsonNumber(counts[b]);
-            out << "]}" << tail;
-        };
-        out << "      \"latency\": {";
-        hist("readMiss", s.readMissLatency, ", ");
-        hist("ownership", s.ownershipLatency, ", ");
-        hist("prefetchFill", s.prefetchFillLatency, "},\n");
-        // Optional: interval-sampled series (--sample-interval > 0).
-        // Deltas are row-major, one inner array per sampled window;
-        // columns follow "metrics" order (DESIGN.md §13).
-        if (!s.timeseries.empty()) {
-            const MetricTimeSeries &ts = s.timeseries;
-            out << "      \"timeseries\": {\n";
-            out << "        \"interval\": "
-                << jsonNumber(static_cast<std::uint64_t>(ts.interval))
-                << ",\n";
-            out << "        \"metrics\": [";
-            for (std::size_t m = 0; m < ts.names.size(); ++m)
-                out << (m ? ", " : "") << str(ts.names[m]);
-            out << "],\n";
-            out << "        \"ticks\": [";
-            for (std::size_t row = 0; row < ts.ticks.size(); ++row)
-                out << (row ? ", " : "")
-                    << jsonNumber(
-                           static_cast<std::uint64_t>(ts.ticks[row]));
-            out << "],\n";
-            out << "        \"deltas\": [";
-            for (std::size_t row = 0; row < ts.rows(); ++row) {
-                out << (row ? ",\n          [" : "\n          [");
-                for (std::size_t m = 0; m < ts.names.size(); ++m)
-                    out << (m ? ", " : "")
-                        << jsonNumber(ts.at(row, m));
-                out << "]";
-            }
-            out << "\n        ]\n      },\n";
-        }
-        // Optional: causal stall attribution (--attrib). Like the
-        // timeseries block, a sibling of the gated stats fields, so a
-        // baseline captured without --attrib stays byte-comparable to
-        // an attributed run and vice versa (DESIGN.md §17).
-        if (s.attribution.enabled) {
-            const AttributionResult &ar = s.attribution;
-            out << "      \"attribution\": {\n";
-            out << "        \"classes\": {";
-            bool first_cls = true;
-            for (unsigned c = 0; c < numAttribClasses; ++c) {
-                const AttribSegments &seg = ar.classes[c];
-                if (!seg.count)
-                    continue;  // zero rows restore to the default
-                out << (first_cls ? "\n" : ",\n");
-                first_cls = false;
-                out << "          \"" << attribClassName(c) << "\": {"
-                    << "\"count\": " << jsonNumber(seg.count) << ", "
-                    << "\"latency\": " << jsonNumber(seg.latency)
-                    << ", "
-                    << "\"request\": " << jsonNumber(seg.request)
-                    << ", "
-                    << "\"dirQueue\": " << jsonNumber(seg.dirQueue)
-                    << ", "
-                    << "\"dirService\": "
-                    << jsonNumber(seg.dirService) << ", "
-                    << "\"ownerFetch\": "
-                    << jsonNumber(seg.ownerFetch) << ", "
-                    << "\"invalFanout\": "
-                    << jsonNumber(seg.invalFanout) << ", "
-                    << "\"ackCollect\": "
-                    << jsonNumber(seg.ackCollect) << ", "
-                    << "\"dataReturn\": "
-                    << jsonNumber(seg.dataReturn) << ", "
-                    << "\"fill\": " << jsonNumber(seg.fill) << ", "
-                    << "\"dataHops\": " << jsonNumber(seg.dataHops)
-                    << "}";
-            }
-            out << (first_cls ? "},\n" : "\n        },\n");
-            out << "        \"locks\": {"
-                << "\"count\": " << jsonNumber(ar.locks.count) << ", "
-                << "\"latency\": " << jsonNumber(ar.locks.latency)
-                << ", "
-                << "\"homeQueue\": " << jsonNumber(ar.locks.homeQueue)
-                << ", "
-                << "\"transfer\": " << jsonNumber(ar.locks.transfer)
-                << "},\n";
-            out << "        \"homes\": [";
-            for (std::size_t i = 0; i < ar.homes.size(); ++i) {
-                const AttribHomeStats &h = ar.homes[i];
-                out << (i ? ",\n          {" : "\n          {")
-                    << "\"node\": " << h.node << ", "
-                    << "\"dirRequests\": "
-                    << jsonNumber(h.dirRequests) << ", "
-                    << "\"dirWaitTotal\": "
-                    << jsonNumber(h.dirWaitTotal) << ", "
-                    << "\"dirWaitP99\": " << jsonNumber(h.dirWaitP99)
-                    << ", "
-                    << "\"lockGrants\": " << jsonNumber(h.lockGrants)
-                    << ", "
-                    << "\"lockWaitTotal\": "
-                    << jsonNumber(h.lockWaitTotal) << ", "
-                    << "\"lockWaitP99\": "
-                    << jsonNumber(h.lockWaitP99) << "}";
-            }
-            out << (ar.homes.empty() ? "],\n" : "\n        ],\n");
-            auto hot = [&](const char *key,
-                           const std::vector<AttribHotSpot> &rows) {
-                out << "        \"" << key << "\": [";
-                for (std::size_t i = 0; i < rows.size(); ++i) {
-                    const AttribHotSpot &h = rows[i];
-                    out << (i ? ",\n          {" : "\n          {")
-                        << "\"addr\": "
-                        << jsonNumber(
-                               static_cast<std::uint64_t>(h.addr))
-                        << ", "
-                        << "\"home\": " << h.home << ", "
-                        << "\"count\": " << jsonNumber(h.count)
-                        << ", "
-                        << "\"totalWait\": "
-                        << jsonNumber(h.totalWait) << ", "
-                        << "\"p99Wait\": " << jsonNumber(h.p99Wait)
-                        << "}";
-                }
-                out << (rows.empty() ? "],\n" : "\n        ],\n");
-            };
-            hot("hotBlocks", ar.hotBlocks);
-            hot("hotLocks", ar.hotLocks);
-            out << "        \"matchedTxns\": "
-                << jsonNumber(ar.matchedTxns) << ",\n";
-            out << "        \"unmatchedDir\": "
-                << jsonNumber(ar.unmatchedDir) << ",\n";
-            out << "        \"matchedLocks\": "
-                << jsonNumber(ar.matchedLocks) << ",\n";
-            out << "        \"unmatchedLocks\": "
-                << jsonNumber(ar.unmatchedLocks) << ",\n";
-            out << "        \"fanoutTotal\": "
-                << jsonNumber(ar.fanoutTotal) << ",\n";
-            out << "        \"fanoutImprecise\": "
-                << jsonNumber(ar.fanoutImprecise) << "\n";
-            out << "      },\n";
-        }
-        out << "      \"kernel\": {"
-            << "\"eventsExecuted\": " << jsonNumber(s.eventsExecuted)
-            << ", "
-            << "\"peakPendingEvents\": "
-            << jsonNumber(s.peakPendingEvents) << ", "
-            << "\"scheduleAllocs\": " << jsonNumber(s.scheduleAllocs)
-            << ", "
-            << "\"slabRounds\": " << jsonNumber(s.slabRounds) << ", "
-            << "\"crossMessages\": " << jsonNumber(s.crossMessages)
-            << ", "
-            << "\"lookahead\": " << jsonNumber(s.lookahead) << ", "
-            << "\"simThreads\": " << s.simThreads << ", "
-            << "\"eventsPerSec\": "
-            << jsonNumber(r.hostSeconds > 0
-                              ? s.eventsExecuted / r.hostSeconds
-                              : 0.0)
-            << "},\n";
-        out << "      \"hostSeconds\": " << jsonNumber(r.hostSeconds)
-            << "\n";
-        out << "    }";
-    }
+    for (std::size_t i = 0; i < results.size(); ++i)
+        out << (i ? ",\n    " : "\n    ") << writePoint(results[i]);
     out << "\n  ]\n}\n";
 
     // Atomic replace (tmp + fsync + rename): a crash mid-write must
@@ -1395,6 +1073,24 @@ JsonValue::at(const std::string &key) const
     if (it == members.end())
         fatal("JSON object has no member '%s'", key.c_str());
     return it->second;
+}
+
+double
+numberOr(const JsonValue &obj, const char *key, double fallback)
+{
+    if (obj.kind == JsonValue::Kind::Object && obj.has(key) &&
+        obj.at(key).kind == JsonValue::Kind::Number)
+        return obj.at(key).number;
+    return fallback;
+}
+
+std::string
+textOr(const JsonValue &obj, const char *key, const char *fallback)
+{
+    if (obj.kind == JsonValue::Kind::Object && obj.has(key) &&
+        obj.at(key).kind == JsonValue::Kind::String)
+        return obj.at(key).text;
+    return fallback;
 }
 
 namespace
@@ -1602,8 +1298,8 @@ struct JsonParser
         out.number = std::strtod(num.c_str(), &end);
         if (!end || *end != '\0')
             return fail("malformed number '" + num + "'");
-        // Keep the raw token: integer consumers (the subprocess wire
-        // format) reread it with strtoull so values beyond 2^53
+        // Keep the raw token: integer consumers (the point codec)
+        // reread it with strtoull so values beyond 2^53
         // survive exactly; the double above is lossy there.
         out.text = std::move(num);
         return true;
@@ -1629,9 +1325,555 @@ parseJson(const std::string &text, JsonValue &out, std::string &error)
     return true;
 }
 
+// --- point codec ------------------------------------------------------------
+//
+// The cpx-sweep-1 point object is the one record format: the sweep
+// file lists it, the journal and the worker pipe carry it one per
+// line, the cache one per file. pointFields() is its single field
+// table; PointCodec<false> walks it to encode a record and
+// PointCodec<true> walks it to restore a SweepResult bit-identically
+// — u64 counters as exact decimal integers (reread with strtoull,
+// not through a double), doubles as %.17g. Derived members (rates,
+// percentiles, events/sec) exist for readers of the sweep file and
+// are skipped on decode. The gated blocks keep the member sets of the
+// committed baseline; what they drop rides in the non-gated "exact"
+// sibling.
+
+namespace
+{
+
+/**
+ * Marker of the retired per-point wire format, which every such
+ * record began with. Its records are stale, never corrupt: they are
+ * skipped and their points re-run.
+ */
+constexpr const char *retiredWirePrefix = "{\"schema\":\"cpx-wire-1\"";
+
+const char *
+consistencyName(const MachineParams &params)
+{
+    return params.consistency == Consistency::SequentialConsistency
+               ? "SC"
+               : "RC";
+}
+
+/**
+ * The optional blocks of a point: the interval-sampled series
+ * (--sample-interval, DESIGN.md §13; deltas row-major, one inner
+ * array per window, columns in "metrics" order) and the causal stall
+ * attribution (--attrib, DESIGN.md §17). Separate from pointFields()
+ * so readOptionalBlocks() can decode them from results files written
+ * before the rest of the record took its present shape.
+ */
+template <class Codec, class Stats>
+void
+optionalBlocks(Codec &c, Stats &s)
+{
+    bool sampled = !s.timeseries.empty();
+    c.optional("timeseries", sampled, [&] {
+        auto &ts = s.timeseries;
+        c.field("interval", ts.interval);
+        c.field("metrics", ts.names);
+        c.field("ticks", ts.ticks);
+        c.matrix("deltas", ts.deltas, ts.names.size());
+        c.check(ts.interval > 0 && !ts.names.empty() &&
+                    ts.rows() == ts.ticks.size(),
+                "malformed timeseries block");
+    });
+    c.optional("attribution", s.attribution.enabled, [&] {
+        auto &ar = s.attribution;
+        c.block("classes", [&] {
+            for (unsigned k = 0; k < numAttribClasses; ++k) {
+                auto &g = ar.classes[k];
+                bool seen = g.count != 0;  // zero rows stay default
+                c.optional(attribClassName(k), seen, [&] {
+                    c.field("count", g.count);
+                    c.field("latency", g.latency);
+                    c.field("request", g.request);
+                    c.field("dirQueue", g.dirQueue);
+                    c.field("dirService", g.dirService);
+                    c.field("ownerFetch", g.ownerFetch);
+                    c.field("invalFanout", g.invalFanout);
+                    c.field("ackCollect", g.ackCollect);
+                    c.field("dataReturn", g.dataReturn);
+                    c.field("fill", g.fill);
+                    c.field("dataHops", g.dataHops);
+                });
+            }
+        });
+        c.block("locks", [&] {
+            c.field("count", ar.locks.count);
+            c.field("latency", ar.locks.latency);
+            c.field("homeQueue", ar.locks.homeQueue);
+            c.field("transfer", ar.locks.transfer);
+        });
+        c.rows("homes", ar.homes, [&](auto &h) {
+            c.field("node", h.node);
+            c.field("dirRequests", h.dirRequests);
+            c.field("dirWaitTotal", h.dirWaitTotal);
+            c.field("dirWaitP99", h.dirWaitP99);
+            c.field("lockGrants", h.lockGrants);
+            c.field("lockWaitTotal", h.lockWaitTotal);
+            c.field("lockWaitP99", h.lockWaitP99);
+        });
+        auto hot = [&](auto &h) {
+            c.field("addr", h.addr);
+            c.field("home", h.home);
+            c.field("count", h.count);
+            c.field("totalWait", h.totalWait);
+            c.field("p99Wait", h.p99Wait);
+        };
+        c.rows("hotBlocks", ar.hotBlocks, hot);
+        c.rows("hotLocks", ar.hotLocks, hot);
+        c.field("matchedTxns", ar.matchedTxns);
+        c.field("unmatchedDir", ar.unmatchedDir);
+        c.field("matchedLocks", ar.matchedLocks);
+        c.field("unmatchedLocks", ar.unmatchedLocks);
+        c.field("fanoutTotal", ar.fanoutTotal);
+        c.field("fanoutImprecise", ar.fanoutImprecise);
+    });
+}
+
+/**
+ * The field table. @p c is a PointCodec; @p r a const SweepResult
+ * when encoding. The codec's primitives:
+ *   field(key, lvalue)          encoded and decoded
+ *   derived(key, value)         encoded only
+ *   alias(key, value, lvalue)   encodes value, decodes into lvalue
+ *   block / optional / rows     nested objects / arrays of objects
+ *   histogram / histogramSum / matrix / check
+ */
+template <class Codec, class Result>
+void
+pointFields(Codec &c, Result &r)
+{
+    const MachineParams &p = r.point.params;
+    auto &run = r.run;
+    auto &s = run.stats;
+    c.field("tag", r.point.tag);
+    c.field("app", r.point.app);
+    c.block("config", [&] {
+        c.alias("protocol", p.protocol.name(), s.protocol);
+        c.alias("consistency", consistencyName(p), s.consistency);
+        c.derived("network", networkName(p));
+        c.derived("procs", p.numProcs);
+        c.derived("scale", r.point.scale);
+        c.derived("seed", r.point.seed);
+        c.derived("slcBytes", p.slcBytes);
+        c.derived("threshold", p.competitiveThreshold);
+        c.derived("writeCache", p.writeCacheEnabled);
+    });
+    c.field("configHash", r.configHash);
+    c.field("status", r.status);
+    c.field("attempts", r.attempts);
+    c.field("verified", run.verified);
+    c.field("hostSeconds", r.hostSeconds);
+    c.block("directory", [&] {
+        c.derived("rep", p.directory.name());
+        if (r.ok()) {
+            c.field("overflowBroadcasts", s.dirOverflowBroadcasts);
+            c.field("pointerEvictions", s.dirPointerEvictions);
+        }
+    });
+    // A failed point carries its classification, never stats: nothing
+    // renders, gates or resumes from them.
+    if (!r.ok()) {
+        c.field("error", r.error);
+        return;
+    }
+    c.field("execTime", run.execTime);
+    if constexpr (Codec::reading)
+        s.execTime = run.execTime;
+    c.block("breakdown", [&] {
+        c.field("busy", s.busy);
+        c.field("readStall", s.readStall);
+        c.field("writeStall", s.writeStall);
+        c.field("acquireStall", s.acquireStall);
+        c.field("releaseStall", s.releaseStall);
+    });
+    c.block("misses", [&] {
+        c.derived("coldPct", s.coldMissRate());
+        c.derived("cohPct", s.cohMissRate());
+        c.field("sharedAccesses", s.sharedAccesses);
+        c.field("coldRead", s.coldReadMisses);
+        c.field("cohRead", s.cohReadMisses);
+        c.field("replRead", s.replReadMisses);
+        c.field("write", s.writeMissesTotal);
+        c.field("avgReadLatency", s.avgReadMissLatency);
+    });
+    c.block("traffic", [&] {
+        c.field("bytes", s.netBytes);
+        c.field("messages", s.netMessages);
+    });
+    c.block("protocolEvents", [&] {
+        c.field("prefetchesIssued", s.prefetchesIssued);
+        c.field("prefetchesUseful", s.prefetchesUseful);
+        c.field("softwarePrefetches", s.softwarePrefetches);
+        c.field("combinedWrites", s.combinedWrites);
+        c.field("migratoryDetections", s.migratoryDetections);
+        c.field("invalidationsSent", s.invalidationsSent);
+    });
+    auto histograms = [&](auto &&visit) {
+        visit("readMiss", s.readMissLatency);
+        visit("ownership", s.ownershipLatency);
+        visit("prefetchFill", s.prefetchFillLatency);
+    };
+    c.block("latency", [&] {
+        histograms([&](const char *key, auto &h) { c.histogram(key, h); });
+    });
+    c.block("exact", [&] {
+        c.field("classBytes", s.classBytes);
+        c.field("ownershipRequests", s.ownershipRequests);
+        c.field("updatesForwarded", s.updatesForwarded);
+        c.field("counterInvalidations", s.counterInvalidations);
+        c.block("latencySum", [&] {
+            histograms([&](const char *key, auto &h) {
+                c.histogramSum(key, h);
+            });
+        });
+    });
+    optionalBlocks(c, s);
+    c.block("kernel", [&] {
+        c.field("eventsExecuted", s.eventsExecuted);
+        c.field("peakPendingEvents", s.peakPendingEvents);
+        c.field("scheduleAllocs", s.scheduleAllocs);
+        c.field("slabRounds", s.slabRounds);
+        c.field("crossMessages", s.crossMessages);
+        c.field("lookahead", s.lookahead);
+        c.field("simThreads", s.simThreads);
+        c.derived("eventsPerSec", r.hostSeconds > 0
+                                      ? s.eventsExecuted / r.hostSeconds
+                                      : 0.0);
+    });
+}
+
+/**
+ * Walks the field table in one direction: encoding into @c out as one
+ * compact JSON line, or decoding from a parsed record. Decoding
+ * records the first missing or mistyped member in @c error (never a
+ * fatal() like JsonValue::at: a corrupt journal line must be
+ * reportable) and turns every later primitive into a no-op.
+ */
+template <bool Reading>
+class PointCodec
+{
+  public:
+    static constexpr bool reading = Reading;
+    std::string out = "{";
+    std::string error;
+
+    explicit PointCodec(const JsonValue *record = nullptr) : cur(record) {}
+
+    template <class T>
+    void
+    field(const char *key, T &v)
+    {
+        if constexpr (Reading) {
+            if (const JsonValue *j = member(key))
+                get(*j, v, key);
+        } else {
+            name(key);
+            put(v);
+        }
+    }
+
+    template <class T>
+    void
+    derived(const char *key, const T &v)
+    {
+        if constexpr (!Reading)
+            field(key, v);
+    }
+
+    template <class T, class U>
+    void
+    alias(const char *key, const T &v, U &lvalue)
+    {
+        if constexpr (Reading)
+            field(key, lvalue);
+        else
+            field(key, v);
+    }
+
+    template <class Fn>
+    void
+    block(const char *key, Fn &&fn)
+    {
+        if constexpr (Reading) {
+            const JsonValue *j = member(key);
+            if (j && expect(*j, JsonValue::Kind::Object, key))
+                visit(j, fn);
+        } else {
+            name(key);
+            out += '{';
+            first = true;
+            fn();
+            out += '}';
+            first = false;
+        }
+    }
+
+    template <class B, class Fn>
+    void
+    optional(const char *key, B &present, Fn &&fn)
+    {
+        if constexpr (Reading)
+            present = cur->has(key);
+        if (present)
+            block(key, fn);
+    }
+
+    /** An array of objects, one per element of @p rows. */
+    template <class Rows, class Fn>
+    void
+    rows(const char *key, Rows &rows, Fn &&fn)
+    {
+        if constexpr (Reading) {
+            const JsonValue *j = member(key);
+            if (!j || !expect(*j, JsonValue::Kind::Array, key))
+                return;
+            rows.resize(j->items.size());
+            for (std::size_t i = 0; i < rows.size(); ++i)
+                if (expect(j->items[i], JsonValue::Kind::Object, key))
+                    visit(&j->items[i], [&] { fn(rows[i]); });
+        } else {
+            name(key);
+            out += '[';
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                out += i ? ",{" : "{";
+                first = true;
+                fn(rows[i]);
+                out += '}';
+            }
+            out += ']';
+            first = false;
+        }
+    }
+
+    /** A row-major matrix of @p width columns, one array per row. */
+    template <class Flat>
+    void
+    matrix(const char *key, Flat &flat, std::size_t width)
+    {
+        std::vector<std::vector<std::uint64_t>> nested;
+        for (std::size_t i = 0; width && i < flat.size(); i += width)
+            nested.emplace_back(flat.begin() + i,
+                                flat.begin() + i + width);
+        field(key, nested);
+        if constexpr (Reading) {
+            for (const auto &row : nested) {
+                check(row.size() == width, "ragged matrix row");
+                flat.insert(flat.end(), row.begin(), row.end());
+            }
+        }
+    }
+
+    /**
+     * The histogram summary of the gated "latency" block. Its exact
+     * sum rides apart (histogramSum) because that block may not grow.
+     */
+    template <class H>
+    void
+    histogram(const char *key, H &h)
+    {
+        Accumulator a = h.summary();
+        std::uint64_t count = a.count(), width = h.bucketWidth(),
+                      overflow = h.overflowCount();
+        double min = a.min(), max = a.max();
+        // Trailing zero buckets are trimmed: the geometry is fixed.
+        std::vector<std::uint64_t> counts = h.bucketCounts();
+        while (!counts.empty() && counts.back() == 0)
+            counts.pop_back();
+        block(key, [&] {
+            field("count", count);
+            derived("mean", a.mean());
+            field("min", min);
+            field("max", max);
+            derived("p50", h.percentile(0.50));
+            derived("p90", h.percentile(0.90));
+            derived("p99", h.percentile(0.99));
+            field("bucketWidth", width);
+            field("overflow", overflow);
+            field("buckets", counts);
+        });
+        if constexpr (Reading) {
+            a.restore(count, 0.0, min, max);
+            check(width == h.bucketWidth() &&
+                      h.restore(counts, overflow, a),
+                  "histogram geometry mismatch");
+        }
+    }
+
+    template <class H>
+    void
+    histogramSum(const char *key, H &h)
+    {
+        Accumulator a = h.summary();
+        double sum = a.sum();
+        field(key, sum);
+        if constexpr (Reading) {
+            a.restore(a.count(), sum, a.min(), a.max());
+            std::vector<std::uint64_t> counts = h.bucketCounts();
+            h.restore(counts, h.overflowCount(), a);
+        }
+    }
+
+    /** Decoding only: reject the record unless @p ok holds. */
+    void
+    check(bool ok, const char *what)
+    {
+        if (Reading && !ok && error.empty())
+            error = what;
+    }
+
+  private:
+    const JsonValue *cur;  //!< object being decoded
+    bool first = true;     //!< nothing encoded yet at this level
+
+    void
+    name(const char *key)
+    {
+        if (!first)
+            out += ',';
+        first = false;
+        out += '"';
+        out += key;
+        out += "\":";
+    }
+
+    template <class T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            out += v ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, PointStatus>) {
+            put(pointStatusName(v));
+        } else if constexpr (std::is_integral_v<T>) {
+            out += std::to_string(v);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            out += jsonNumber(static_cast<double>(v));
+        } else if constexpr (std::is_convertible_v<T, std::string>) {
+            out += '"' + jsonEscape(v) + '"';
+        } else {  // arrays and vectors
+            out += '[';
+            const char *sep = "";
+            for (const auto &item : v) {
+                out += sep;
+                sep = ",";
+                put(item);
+            }
+            out += ']';
+        }
+    }
+
+    template <class Fn>
+    void
+    visit(const JsonValue *object, Fn &&fn)
+    {
+        const JsonValue *outer = cur;
+        cur = object;
+        fn();
+        cur = outer;
+    }
+
+    bool
+    expect(const JsonValue &j, JsonValue::Kind kind, const char *key)
+    {
+        if (j.kind != kind && error.empty())
+            error = std::string("mistyped '") + key + "'";
+        return error.empty();
+    }
+
+    const JsonValue *
+    member(const char *key)
+    {
+        if (!error.empty())
+            return nullptr;
+        auto it = cur->members.find(key);
+        if (it != cur->members.end())
+            return &it->second;
+        error = std::string("missing '") + key + "'";
+        return nullptr;
+    }
+
+    template <class T>
+    void
+    get(const JsonValue &j, T &v, const char *key)
+    {
+        using Kind = JsonValue::Kind;
+        if constexpr (std::is_same_v<T, bool>) {
+            if (expect(j, Kind::Bool, key))
+                v = j.boolean;
+        } else if constexpr (std::is_same_v<T, PointStatus>) {
+            int i = 0;
+            while (i <= static_cast<int>(PointStatus::Garbage) &&
+                   j.text != pointStatusName(static_cast<PointStatus>(i)))
+                ++i;
+            v = static_cast<PointStatus>(i);
+            check(i <= static_cast<int>(PointStatus::Garbage),
+                  "unknown point status");
+        } else if constexpr (std::is_integral_v<T>) {
+            if (expect(j, Kind::Number, key))
+                v = static_cast<T>(jsonU64(j));
+        } else if constexpr (std::is_floating_point_v<T>) {
+            if (expect(j, Kind::Number, key))
+                v = j.number;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            if (expect(j, Kind::String, key))
+                v = j.text;
+        } else if (expect(j, Kind::Array, key)) {  // arrays, vectors
+            if constexpr (std::is_array_v<T>)
+                check(j.items.size() == std::extent_v<T>,
+                      "array of the wrong length");
+            else
+                v.resize(j.items.size());
+            for (std::size_t i = 0; i < j.items.size() && error.empty();
+                 ++i)
+                get(j.items[i], v[i], key);
+        }
+    }
+};
+
+} // anonymous namespace
+
+std::string
+writePoint(const SweepResult &result)
+{
+    PointCodec<false> codec;
+    pointFields(codec, result);
+    return codec.out + '}';
+}
+
 bool
-validateResultsFile(const std::string &path, std::string &error,
-                    bool allow_failed)
+readPoint(const std::string &line, SweepResult &out, std::string &error)
+{
+    JsonValue doc;
+    if (!parseJson(line, doc, error))
+        return false;
+    if (doc.kind != JsonValue::Kind::Object) {
+        error = "point record is not a JSON object";
+        return false;
+    }
+    out = SweepResult{};
+    PointCodec<true> codec(&doc);
+    pointFields(codec, out);
+    error = codec.error;
+    return error.empty();
+}
+
+bool
+readOptionalBlocks(const JsonValue &point, RunResult &out,
+                   std::string &error)
+{
+    PointCodec<true> codec(&point);
+    optionalBlocks(codec, out);
+    error = codec.error;
+    return error.empty();
+}
+
+bool
+loadJsonFile(const std::string &path, JsonValue &doc, std::string &error)
 {
     std::ifstream file(path, std::ios::binary);
     if (!file) {
@@ -1640,21 +1882,54 @@ validateResultsFile(const std::string &path, std::string &error,
     }
     std::ostringstream text;
     text << file.rdbuf();
-
-    JsonValue doc;
     if (!parseJson(text.str(), doc, error)) {
         error = path + ": " + error;
         return false;
     }
-    if (doc.kind != JsonValue::Kind::Object ||
-        !doc.has("schema") ||
-        doc.at("schema").text != "cpx-sweep-1") {
+    return true;
+}
+
+namespace
+{
+
+/** Read a file and parse it as a cpx-sweep-1 document. */
+bool
+loadSweepDoc(const std::string &path, JsonValue &doc,
+             std::string &error)
+{
+    if (!loadJsonFile(path, doc, error))
+        return false;
+    if (textOr(doc, "schema", "") != "cpx-sweep-1") {
         error = path + ": missing cpx-sweep-1 schema marker";
         return false;
     }
     if (!doc.has("points") ||
-        doc.at("points").kind != JsonValue::Kind::Array ||
-        doc.at("points").items.empty()) {
+        doc.at("points").kind != JsonValue::Kind::Array) {
+        error = path + ": missing points array";
+        return false;
+    }
+    return true;
+}
+
+std::string
+pointLabel(const JsonValue &point)
+{
+    std::string label = textOr(point, "tag", "");
+    if (point.has("app"))
+        label += (label.empty() ? "" : "/") + point.at("app").text;
+    return label.empty() ? "?" : label;
+}
+
+} // anonymous namespace
+
+bool
+validateResultsFile(const std::string &path, std::string &error,
+                    bool allow_failed)
+{
+    JsonValue doc;
+    if (!loadSweepDoc(path, doc, error))
+        return false;
+    if (doc.at("points").items.empty()) {
         error = path + ": no sweep points recorded";
         return false;
     }
@@ -1668,20 +1943,15 @@ validateResultsFile(const std::string &path, std::string &error,
         }
         // Points carry a "status" since the fault-isolation work;
         // files written before then are all-ok by construction.
-        const std::string status =
-            point.has("status") ? point.at("status").text
-                                : std::string("ok");
+        const std::string status = textOr(point, "status", "ok");
         if (status != "ok") {
             if (!point.has("error")) {
                 error = path + ": failed point without an error "
                         "message";
                 return false;
             }
-            failed += "\n  [" + status + "] '" +
-                      (point.has("tag") ? point.at("tag").text
-                                        : std::string()) +
-                      "' app=" + point.at("app").text + ": " +
-                      point.at("error").text;
+            failed += "\n  [" + status + "] " + pointLabel(point) +
+                      ": " + point.at("error").text;
             continue;
         }
         if (!point.has("execTime")) {
@@ -1689,80 +1959,15 @@ validateResultsFile(const std::string &path, std::string &error,
             return false;
         }
         if (!point.at("verified").boolean) {
-            failed += "\n  [unverified] '" +
-                      (point.has("tag") ? point.at("tag").text
-                                        : std::string()) +
-                      "' app=" + point.at("app").text;
+            failed += "\n  [unverified] " + pointLabel(point);
             continue;
         }
-        // The timeseries block is optional (only sampled runs carry
-        // it), but when present it must be structurally sound: a
-        // positive interval, named columns, and a rectangular deltas
-        // matrix with one end tick per row.
-        if (point.has("timeseries")) {
-            const JsonValue &ts = point.at("timeseries");
-            if (ts.kind != JsonValue::Kind::Object ||
-                !ts.has("interval") || !ts.has("metrics") ||
-                !ts.has("ticks") || !ts.has("deltas")) {
-                error = path + ": malformed timeseries block";
-                return false;
-            }
-            if (ts.at("interval").number <= 0) {
-                error = path + ": timeseries interval must be > 0";
-                return false;
-            }
-            const auto &metrics = ts.at("metrics").items;
-            const auto &ticks = ts.at("ticks").items;
-            const auto &deltas = ts.at("deltas").items;
-            if (ts.at("metrics").kind != JsonValue::Kind::Array ||
-                metrics.empty()) {
-                error = path + ": timeseries has no metrics";
-                return false;
-            }
-            if (deltas.size() != ticks.size()) {
-                error = path + ": timeseries has " +
-                        std::to_string(deltas.size()) +
-                        " delta rows but " +
-                        std::to_string(ticks.size()) + " ticks";
-                return false;
-            }
-            for (const JsonValue &row : deltas) {
-                if (row.kind != JsonValue::Kind::Array ||
-                    row.items.size() != metrics.size()) {
-                    error = path + ": ragged timeseries delta row";
-                    return false;
-                }
-            }
-        }
-        // The attribution block is likewise optional (--attrib runs
-        // only); when present it must carry the full shape cpxreport
-        // renders from.
-        if (point.has("attribution")) {
-            const JsonValue &ar = point.at("attribution");
-            if (ar.kind != JsonValue::Kind::Object ||
-                !ar.has("classes") || !ar.has("locks") ||
-                !ar.has("homes") || !ar.has("hotBlocks") ||
-                !ar.has("hotLocks") || !ar.has("matchedTxns")) {
-                error = path + ": malformed attribution block";
-                return false;
-            }
-            if (ar.at("classes").kind != JsonValue::Kind::Object ||
-                ar.at("homes").kind != JsonValue::Kind::Array ||
-                ar.at("hotBlocks").kind != JsonValue::Kind::Array ||
-                ar.at("hotLocks").kind != JsonValue::Kind::Array) {
-                error = path + ": malformed attribution block";
-                return false;
-            }
-            for (const auto &[name, row] :
-                 ar.at("classes").members) {
-                if (row.kind != JsonValue::Kind::Object ||
-                    !row.has("count") || !row.has("latency") ||
-                    !row.has("dirQueue")) {
-                    error = path + ": malformed attribution class '" +
-                            name + "'";
-                    return false;
-                }
-            }
+        // The optional blocks (sampled series, attribution) must
+        // decode in full: cpxreport renders from them.
+        RunResult scratch;
+        if (!readOptionalBlocks(point, scratch, error)) {
+            error = path + ": malformed point block: " + error;
+            return false;
         }
     }
     if (!failed.empty() && !allow_failed) {
@@ -1775,19 +1980,9 @@ validateResultsFile(const std::string &path, std::string &error,
 bool
 validateTraceFile(const std::string &path, std::string &error)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-
     JsonValue doc;
-    if (!parseJson(text.str(), doc, error)) {
-        error = path + ": " + error;
+    if (!loadJsonFile(path, doc, error))
         return false;
-    }
     if (doc.kind != JsonValue::Kind::Object ||
         !doc.has("traceEvents") ||
         doc.at("traceEvents").kind != JsonValue::Kind::Array) {
@@ -1807,7 +2002,6 @@ validateTraceFile(const std::string &path, std::string &error)
     // numeric args.value and be non-decreasing in time per track.
     std::map<std::string, long> open_spans;
     std::map<std::string, double> counter_last_ts;
-    std::size_t spans = 0;
     for (const JsonValue &ev : events) {
         if (ev.kind != JsonValue::Kind::Object || !ev.has("ph") ||
             !ev.has("pid")) {
@@ -1827,7 +2021,6 @@ validateTraceFile(const std::string &path, std::string &error)
                 return false;
             }
             open_spans[ev.at("id").text] += ph == "b" ? 1 : -1;
-            ++spans;
         } else if (ph == "C") {
             if (!ev.has("args") ||
                 ev.at("args").kind != JsonValue::Kind::Object ||
@@ -1858,36 +2051,11 @@ validateTraceFile(const std::string &path, std::string &error)
             return false;
         }
     }
-    (void)spans;
     return true;
 }
 
 namespace
 {
-
-/** Read a file and parse it as a cpx-sweep-1 document. */
-bool
-loadSweepDoc(const std::string &path, JsonValue &doc,
-             std::string &error)
-{
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-    if (!parseJson(text.str(), doc, error)) {
-        error = path + ": " + error;
-        return false;
-    }
-    if (doc.kind != JsonValue::Kind::Object || !doc.has("schema") ||
-        doc.at("schema").text != "cpx-sweep-1") {
-        error = path + ": missing cpx-sweep-1 schema marker";
-        return false;
-    }
-    return true;
-}
 
 bool
 jsonEquals(const JsonValue &a, const JsonValue &b)
@@ -1926,16 +2094,6 @@ jsonEquals(const JsonValue &a, const JsonValue &b)
     return false;
 }
 
-std::string
-pointLabel(const JsonValue &point)
-{
-    std::string label =
-        point.has("tag") ? point.at("tag").text : std::string();
-    if (point.has("app"))
-        label += (label.empty() ? "" : "/") + point.at("app").text;
-    return label.empty() ? "?" : label;
-}
-
 } // anonymous namespace
 
 bool
@@ -1947,12 +2105,6 @@ compareToBaseline(const std::string &path,
     if (!loadSweepDoc(path, cur, error) ||
         !loadSweepDoc(baseline_path, base, error))
         return false;
-    if (!cur.has("points") || !base.has("points") ||
-        cur.at("points").kind != JsonValue::Kind::Array ||
-        base.at("points").kind != JsonValue::Kind::Array) {
-        error = "missing points array";
-        return false;
-    }
     const auto &cur_pts = cur.at("points").items;
     const auto &base_pts = base.at("points").items;
     if (cur_pts.size() != base_pts.size()) {
@@ -2030,39 +2182,27 @@ printPerfSummary(const std::string &path, std::string &error,
     if (!loadSweepDoc(path, doc, error))
         return false;
 
-    auto num = [&doc](const char *key) {
-        return doc.has(key) ? doc.at(key).number : 0.0;
-    };
     std::printf("perf summary for %s\n", path.c_str());
-    std::printf("  suite:        %s\n",
-                doc.has("suite") ? doc.at("suite").text.c_str() : "?");
+    std::printf("  suite:        %s\n", textOr(doc, "suite", "?").c_str());
     std::printf("  timestamp:    %s\n",
-                doc.has("timestamp") ? doc.at("timestamp").text.c_str()
-                                     : "?");
-    std::printf("  points:       %zu\n",
-                doc.has("points") ? doc.at("points").items.size() : 0);
-    std::printf("  simThreads:   %.0f\n",
-                doc.has("simThreads") ? doc.at("simThreads").number
-                                      : 1.0);
-    std::printf("  hostSeconds:  %.2f\n", num("hostSeconds"));
-    std::printf("  totalEvents:  %.0f\n", num("totalEvents"));
-    std::printf("  eventsPerSec: %.3g\n", num("eventsPerSec"));
+                textOr(doc, "timestamp", "?").c_str());
+    std::printf("  points:       %zu\n", doc.at("points").items.size());
+    std::printf("  simThreads:   %.0f\n", numberOr(doc, "simThreads", 1));
+    double cur_secs = numberOr(doc, "hostSeconds", 0);
+    double cur_eps = numberOr(doc, "eventsPerSec", 0);
+    std::printf("  hostSeconds:  %.2f\n", cur_secs);
+    std::printf("  totalEvents:  %.0f\n", numberOr(doc, "totalEvents", 0));
+    std::printf("  eventsPerSec: %.3g\n", cur_eps);
 
     if (!reference_path.empty()) {
         JsonValue ref;
         if (!loadSweepDoc(reference_path, ref, error))
             return false;
-        auto rnum = [&ref](const char *key) {
-            return ref.has(key) ? ref.at(key).number : 0.0;
-        };
-        double ref_threads =
-            ref.has("simThreads") ? ref.at("simThreads").number : 1.0;
-        double cur_secs = num("hostSeconds");
-        double ref_secs = rnum("hostSeconds");
-        double cur_eps = num("eventsPerSec");
-        double ref_eps = rnum("eventsPerSec");
+        double ref_secs = numberOr(ref, "hostSeconds", 0);
+        double ref_eps = numberOr(ref, "eventsPerSec", 0);
         std::printf("  speedup vs %s (simThreads=%.0f):\n",
-                    reference_path.c_str(), ref_threads);
+                    reference_path.c_str(),
+                    numberOr(ref, "simThreads", 1));
         std::printf("    wall-clock:  %.2fx (%.2fs vs %.2fs)\n",
                     cur_secs > 0 ? ref_secs / cur_secs : 0.0,
                     cur_secs, ref_secs);
@@ -2071,8 +2211,6 @@ printPerfSummary(const std::string &path, std::string &error,
                     ref_eps);
     }
 
-    if (!doc.has("points"))
-        return true;
     // Per-tag aggregation, in first-appearance order.
     std::vector<std::string> order;
     std::map<std::string, std::pair<double, double>> by_tag;
@@ -2083,10 +2221,9 @@ printPerfSummary(const std::string &path, std::string &error,
         if (!by_tag.count(tag))
             order.push_back(tag);
         auto &[events, secs] = by_tag[tag];
-        if (p.has("kernel") && p.at("kernel").has("eventsExecuted"))
-            events += p.at("kernel").at("eventsExecuted").number;
-        if (p.has("hostSeconds"))
-            secs += p.at("hostSeconds").number;
+        if (p.has("kernel"))
+            events += numberOr(p.at("kernel"), "eventsExecuted", 0);
+        secs += numberOr(p, "hostSeconds", 0);
     }
     if (!order.empty()) {
         std::printf("  %-18s %14s %12s %14s\n", "tag", "events",
@@ -2096,582 +2233,6 @@ printPerfSummary(const std::string &path, std::string &error,
             std::printf("  %-18s %14.0f %12.3f %14.4g\n", tag.c_str(),
                         events, secs, secs > 0 ? events / secs : 0.0);
         }
-    }
-    return true;
-}
-
-// --- subprocess wire format (cpx-wire-1) -----------------------------------
-//
-// One JSON object per line; a worker writes exactly one before
-// exiting, and the journal is a sequence of them. Every stat is
-// carried at full fidelity — u64 counters as exact decimal integers
-// (reread with strtoull, not through a double), doubles as %.17g
-// (round-trips exactly) — so a result that crossed the pipe or was
-// reloaded from a journal is bit-identical to one computed in
-// process.
-
-namespace
-{
-
-bool
-pointStatusFromName(const std::string &name, PointStatus &out)
-{
-    static const PointStatus all[] = {
-        PointStatus::NotRun,      PointStatus::Ok,
-        PointStatus::NonzeroExit, PointStatus::Signal,
-        PointStatus::Timeout,     PointStatus::InvariantFailure,
-        PointStatus::Garbage,
-    };
-    for (PointStatus s : all) {
-        if (name == pointStatusName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-serializeHistogram(std::ostringstream &out, const Histogram &h)
-{
-    const Accumulator &a = h.summary();
-    out << "{\"buckets\":[";
-    const auto &counts = h.bucketCounts();
-    std::size_t last = counts.size();
-    while (last > 0 && counts[last - 1] == 0)
-        --last;
-    for (std::size_t b = 0; b < last; ++b)
-        out << (b ? "," : "") << jsonNumber(counts[b]);
-    out << "],\"overflow\":" << jsonNumber(h.overflowCount())
-        << ",\"count\":" << jsonNumber(a.count())
-        << ",\"sum\":" << jsonNumber(a.sum())
-        << ",\"min\":" << jsonNumber(a.min())
-        << ",\"max\":" << jsonNumber(a.max()) << "}";
-}
-
-/**
- * Field accessors over a parsed wire object that collect the first
- * missing/mistyped member into @p error instead of fatal()ing like
- * JsonValue::at — a corrupt journal line must be reportable, not a
- * process abort.
- */
-struct WireReader
-{
-    const JsonValue &obj;
-    std::string &error;
-    bool ok = true;
-
-    const JsonValue *
-    get(const char *key, JsonValue::Kind kind)
-    {
-        if (!ok)
-            return nullptr;
-        auto it = obj.members.find(key);
-        if (it == obj.members.end() || it->second.kind != kind) {
-            error = std::string("missing or mistyped '") + key + "'";
-            ok = false;
-            return nullptr;
-        }
-        return &it->second;
-    }
-
-    double
-    num(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::Number);
-        return v ? v->number : 0.0;
-    }
-
-    std::uint64_t
-    u64(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::Number);
-        return v ? jsonU64(*v) : 0;
-    }
-
-    /**
-     * Like u64(), but an absent member yields @p fallback instead of
-     * failing the record. For fields added to cpx-wire-1 after its
-     * introduction (the parallel-kernel telemetry): journals and
-     * caches written by older binaries stay loadable.
-     */
-    std::uint64_t
-    u64Opt(const char *key, std::uint64_t fallback)
-    {
-        if (!ok)
-            return fallback;
-        auto it = obj.members.find(key);
-        if (it == obj.members.end())
-            return fallback;
-        if (it->second.kind != JsonValue::Kind::Number) {
-            error = std::string("mistyped '") + key + "'";
-            ok = false;
-            return fallback;
-        }
-        return jsonU64(it->second);
-    }
-
-    std::string
-    str(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::String);
-        return v ? v->text : std::string();
-    }
-
-    bool
-    boolean(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::Bool);
-        return v && v->boolean;
-    }
-};
-
-bool
-parseHistogram(const JsonValue &v, Histogram &h, std::string &error)
-{
-    if (v.kind != JsonValue::Kind::Object) {
-        error = "histogram is not an object";
-        return false;
-    }
-    WireReader r{v, error};
-    const JsonValue *buckets =
-        r.get("buckets", JsonValue::Kind::Array);
-    std::uint64_t overflow = r.u64("overflow");
-    std::uint64_t count = r.u64("count");
-    double sum = r.num("sum"), min = r.num("min"),
-           max = r.num("max");
-    if (!r.ok)
-        return false;
-    std::vector<std::uint64_t> counts;
-    counts.reserve(buckets->items.size());
-    for (const JsonValue &item : buckets->items) {
-        if (item.kind != JsonValue::Kind::Number) {
-            error = "non-numeric histogram bucket";
-            return false;
-        }
-        counts.push_back(jsonU64(item));
-    }
-    Accumulator acc;
-    acc.restore(count, sum, min, max);
-    if (!h.restore(counts, overflow, acc)) {
-        error = "histogram geometry mismatch (" +
-                std::to_string(counts.size()) + " buckets)";
-        return false;
-    }
-    return true;
-}
-
-} // anonymous namespace
-
-std::string
-serializeWireResult(const SweepResult &res)
-{
-    std::ostringstream out;
-    auto str = [](const std::string &s) {
-        return "\"" + jsonEscape(s) + "\"";
-    };
-    out << "{\"schema\":\"cpx-wire-1\""
-        << ",\"hash\":" << str(res.configHash)
-        << ",\"status\":" << str(pointStatusName(res.status))
-        << ",\"error\":" << str(res.error)
-        << ",\"attempts\":" << res.attempts
-        << ",\"hostSeconds\":" << jsonNumber(res.hostSeconds);
-
-    // Only outcomes that actually produced stats carry the payload;
-    // crash/timeout/garbage records are classification-only.
-    const bool payload = res.status == PointStatus::Ok ||
-                         res.status == PointStatus::InvariantFailure;
-    if (payload) {
-        const RunResult &s = res.run.stats;
-        out << ",\"execTime\":"
-            << jsonNumber(static_cast<std::uint64_t>(res.run.execTime))
-            << ",\"verified\":"
-            << (res.run.verified ? "true" : "false");
-        out << ",\"stats\":{"
-            << "\"protocol\":" << str(s.protocol)
-            << ",\"consistency\":" << str(s.consistency)
-            << ",\"execTime\":"
-            << jsonNumber(static_cast<std::uint64_t>(s.execTime))
-            << ",\"busy\":" << jsonNumber(s.busy)
-            << ",\"readStall\":" << jsonNumber(s.readStall)
-            << ",\"writeStall\":" << jsonNumber(s.writeStall)
-            << ",\"acquireStall\":" << jsonNumber(s.acquireStall)
-            << ",\"releaseStall\":" << jsonNumber(s.releaseStall)
-            << ",\"sharedAccesses\":" << jsonNumber(s.sharedAccesses)
-            << ",\"coldReadMisses\":" << jsonNumber(s.coldReadMisses)
-            << ",\"cohReadMisses\":" << jsonNumber(s.cohReadMisses)
-            << ",\"replReadMisses\":" << jsonNumber(s.replReadMisses)
-            << ",\"writeMissesTotal\":"
-            << jsonNumber(s.writeMissesTotal)
-            << ",\"netBytes\":" << jsonNumber(s.netBytes)
-            << ",\"netMessages\":" << jsonNumber(s.netMessages);
-        out << ",\"classBytes\":[";
-        constexpr unsigned num_classes =
-            static_cast<unsigned>(MsgClass::NumClasses);
-        for (unsigned k = 0; k < num_classes; ++k)
-            out << (k ? "," : "") << jsonNumber(s.classBytes[k]);
-        out << "]";
-        out << ",\"ownershipRequests\":"
-            << jsonNumber(s.ownershipRequests)
-            << ",\"invalidationsSent\":"
-            << jsonNumber(s.invalidationsSent)
-            << ",\"updatesForwarded\":"
-            << jsonNumber(s.updatesForwarded)
-            << ",\"migratoryDetections\":"
-            << jsonNumber(s.migratoryDetections)
-            << ",\"prefetchesIssued\":"
-            << jsonNumber(s.prefetchesIssued)
-            << ",\"prefetchesUseful\":"
-            << jsonNumber(s.prefetchesUseful)
-            << ",\"softwarePrefetches\":"
-            << jsonNumber(s.softwarePrefetches)
-            << ",\"combinedWrites\":" << jsonNumber(s.combinedWrites)
-            << ",\"counterInvalidations\":"
-            << jsonNumber(s.counterInvalidations)
-            << ",\"dirOverflowBroadcasts\":"
-            << jsonNumber(s.dirOverflowBroadcasts)
-            << ",\"dirPointerEvictions\":"
-            << jsonNumber(s.dirPointerEvictions)
-            << ",\"avgReadMissLatency\":"
-            << jsonNumber(s.avgReadMissLatency);
-        out << ",\"readMissLatency\":";
-        serializeHistogram(out, s.readMissLatency);
-        out << ",\"ownershipLatency\":";
-        serializeHistogram(out, s.ownershipLatency);
-        out << ",\"prefetchFillLatency\":";
-        serializeHistogram(out, s.prefetchFillLatency);
-        out << ",\"eventsExecuted\":" << jsonNumber(s.eventsExecuted)
-            << ",\"peakPendingEvents\":"
-            << jsonNumber(s.peakPendingEvents)
-            << ",\"scheduleAllocs\":"
-            << jsonNumber(s.scheduleAllocs)
-            << ",\"slabRounds\":" << jsonNumber(s.slabRounds)
-            << ",\"crossMessages\":" << jsonNumber(s.crossMessages)
-            << ",\"lookahead\":" << jsonNumber(s.lookahead)
-            << ",\"simThreads\":" << s.simThreads;
-        if (!s.timeseries.empty()) {
-            const MetricTimeSeries &ts = s.timeseries;
-            out << ",\"timeseries\":{\"interval\":"
-                << jsonNumber(static_cast<std::uint64_t>(ts.interval))
-                << ",\"metrics\":[";
-            for (std::size_t m = 0; m < ts.names.size(); ++m)
-                out << (m ? "," : "") << str(ts.names[m]);
-            out << "],\"ticks\":[";
-            for (std::size_t i = 0; i < ts.ticks.size(); ++i)
-                out << (i ? "," : "")
-                    << jsonNumber(
-                           static_cast<std::uint64_t>(ts.ticks[i]));
-            out << "],\"deltas\":[";
-            for (std::size_t i = 0; i < ts.deltas.size(); ++i)
-                out << (i ? "," : "") << jsonNumber(ts.deltas[i]);
-            out << "]}";
-        }
-        if (s.attribution.enabled) {
-            // Positional arrays (field order fixed by the parser
-            // below): compact, and exact — u64 via jsonNumber's
-            // integer path, doubles via %.17g.
-            const AttributionResult &ar = s.attribution;
-            out << ",\"attribution\":{\"classes\":[";
-            for (unsigned c = 0; c < numAttribClasses; ++c) {
-                const AttribSegments &g = ar.classes[c];
-                out << (c ? "," : "") << "[" << jsonNumber(g.count)
-                    << "," << jsonNumber(g.latency) << ","
-                    << jsonNumber(g.request) << ","
-                    << jsonNumber(g.dirQueue) << ","
-                    << jsonNumber(g.dirService) << ","
-                    << jsonNumber(g.ownerFetch) << ","
-                    << jsonNumber(g.invalFanout) << ","
-                    << jsonNumber(g.ackCollect) << ","
-                    << jsonNumber(g.dataReturn) << ","
-                    << jsonNumber(g.fill) << ","
-                    << jsonNumber(g.dataHops) << "]";
-            }
-            out << "],\"locks\":[" << jsonNumber(ar.locks.count)
-                << "," << jsonNumber(ar.locks.latency) << ","
-                << jsonNumber(ar.locks.homeQueue) << ","
-                << jsonNumber(ar.locks.transfer) << "]";
-            out << ",\"homes\":[";
-            for (std::size_t i = 0; i < ar.homes.size(); ++i) {
-                const AttribHomeStats &h = ar.homes[i];
-                out << (i ? "," : "") << "["
-                    << jsonNumber(
-                           static_cast<std::uint64_t>(h.node))
-                    << "," << jsonNumber(h.dirRequests) << ","
-                    << jsonNumber(h.dirWaitTotal) << ","
-                    << jsonNumber(h.dirWaitP99) << ","
-                    << jsonNumber(h.lockGrants) << ","
-                    << jsonNumber(h.lockWaitTotal) << ","
-                    << jsonNumber(h.lockWaitP99) << "]";
-            }
-            out << "]";
-            auto hot = [&](const char *key,
-                           const std::vector<AttribHotSpot> &rows) {
-                out << ",\"" << key << "\":[";
-                for (std::size_t i = 0; i < rows.size(); ++i) {
-                    const AttribHotSpot &h = rows[i];
-                    out << (i ? "," : "") << "["
-                        << jsonNumber(
-                               static_cast<std::uint64_t>(h.addr))
-                        << ","
-                        << jsonNumber(
-                               static_cast<std::uint64_t>(h.home))
-                        << "," << jsonNumber(h.count) << ","
-                        << jsonNumber(h.totalWait) << ","
-                        << jsonNumber(h.p99Wait) << "]";
-                }
-                out << "]";
-            };
-            hot("hotBlocks", ar.hotBlocks);
-            hot("hotLocks", ar.hotLocks);
-            out << ",\"matchedTxns\":" << jsonNumber(ar.matchedTxns)
-                << ",\"unmatchedDir\":"
-                << jsonNumber(ar.unmatchedDir) << ",\"matchedLocks\":"
-                << jsonNumber(ar.matchedLocks)
-                << ",\"unmatchedLocks\":"
-                << jsonNumber(ar.unmatchedLocks) << ",\"fanoutTotal\":"
-                << jsonNumber(ar.fanoutTotal)
-                << ",\"fanoutImprecise\":"
-                << jsonNumber(ar.fanoutImprecise) << "}";
-        }
-        out << "}";
-    }
-    out << "}";
-    return out.str();
-}
-
-bool
-parseWireResult(const std::string &line, SweepResult &out,
-                std::string &error)
-{
-    JsonValue doc;
-    if (!parseJson(line, doc, error))
-        return false;
-    if (doc.kind != JsonValue::Kind::Object || !doc.has("schema") ||
-        doc.at("schema").kind != JsonValue::Kind::String ||
-        doc.at("schema").text != "cpx-wire-1") {
-        error = "missing cpx-wire-1 schema marker";
-        return false;
-    }
-
-    out = SweepResult{};
-    WireReader top{doc, error};
-    out.configHash = top.str("hash");
-    std::string status_name = top.str("status");
-    out.error = top.str("error");
-    out.attempts = static_cast<unsigned>(top.u64("attempts"));
-    out.hostSeconds = top.num("hostSeconds");
-    if (!top.ok)
-        return false;
-    if (!pointStatusFromName(status_name, out.status)) {
-        error = "unknown status '" + status_name + "'";
-        return false;
-    }
-
-    const bool payload = out.status == PointStatus::Ok ||
-                         out.status == PointStatus::InvariantFailure;
-    if (!payload)
-        return true;
-
-    out.run.execTime = static_cast<Tick>(top.u64("execTime"));
-    out.run.verified = top.boolean("verified");
-    const JsonValue *stats_v =
-        top.get("stats", JsonValue::Kind::Object);
-    if (!top.ok)
-        return false;
-
-    RunResult &s = out.run.stats;
-    WireReader r{*stats_v, error};
-    s.protocol = r.str("protocol");
-    s.consistency = r.str("consistency");
-    s.execTime = static_cast<Tick>(r.u64("execTime"));
-    s.busy = r.num("busy");
-    s.readStall = r.num("readStall");
-    s.writeStall = r.num("writeStall");
-    s.acquireStall = r.num("acquireStall");
-    s.releaseStall = r.num("releaseStall");
-    s.sharedAccesses = r.u64("sharedAccesses");
-    s.coldReadMisses = r.u64("coldReadMisses");
-    s.cohReadMisses = r.u64("cohReadMisses");
-    s.replReadMisses = r.u64("replReadMisses");
-    s.writeMissesTotal = r.u64("writeMissesTotal");
-    s.netBytes = r.u64("netBytes");
-    s.netMessages = r.u64("netMessages");
-    s.ownershipRequests = r.u64("ownershipRequests");
-    s.invalidationsSent = r.u64("invalidationsSent");
-    s.updatesForwarded = r.u64("updatesForwarded");
-    s.migratoryDetections = r.u64("migratoryDetections");
-    s.prefetchesIssued = r.u64("prefetchesIssued");
-    s.prefetchesUseful = r.u64("prefetchesUseful");
-    s.softwarePrefetches = r.u64("softwarePrefetches");
-    s.combinedWrites = r.u64("combinedWrites");
-    s.counterInvalidations = r.u64("counterInvalidations");
-    s.dirOverflowBroadcasts = r.u64Opt("dirOverflowBroadcasts", 0);
-    s.dirPointerEvictions = r.u64Opt("dirPointerEvictions", 0);
-    s.avgReadMissLatency = r.num("avgReadMissLatency");
-    s.eventsExecuted = r.u64("eventsExecuted");
-    s.peakPendingEvents = r.u64("peakPendingEvents");
-    s.scheduleAllocs = r.u64("scheduleAllocs");
-    s.slabRounds = r.u64Opt("slabRounds", 0);
-    s.crossMessages = r.u64Opt("crossMessages", 0);
-    s.lookahead = r.u64Opt("lookahead", 0);
-    s.simThreads =
-        static_cast<unsigned>(r.u64Opt("simThreads", 1));
-    const JsonValue *class_bytes =
-        r.get("classBytes", JsonValue::Kind::Array);
-    if (!r.ok)
-        return false;
-    constexpr unsigned num_classes =
-        static_cast<unsigned>(MsgClass::NumClasses);
-    if (class_bytes->items.size() != num_classes) {
-        error = "classBytes has " +
-                std::to_string(class_bytes->items.size()) +
-                " entries, expected " + std::to_string(num_classes);
-        return false;
-    }
-    for (unsigned k = 0; k < num_classes; ++k)
-        s.classBytes[k] = jsonU64(class_bytes->items[k]);
-
-    const std::pair<const char *, Histogram *> hists[] = {
-        {"readMissLatency", &s.readMissLatency},
-        {"ownershipLatency", &s.ownershipLatency},
-        {"prefetchFillLatency", &s.prefetchFillLatency},
-    };
-    for (auto [key, hist] : hists) {
-        const JsonValue *v = r.get(key, JsonValue::Kind::Object);
-        if (!r.ok)
-            return false;
-        if (!parseHistogram(*v, *hist, error))
-            return false;
-    }
-
-    if (stats_v->has("timeseries")) {
-        const JsonValue &ts_v = stats_v->at("timeseries");
-        if (ts_v.kind != JsonValue::Kind::Object) {
-            error = "timeseries is not an object";
-            return false;
-        }
-        WireReader t{ts_v, error};
-        MetricTimeSeries &ts = s.timeseries;
-        ts.interval = static_cast<Tick>(t.u64("interval"));
-        const JsonValue *metrics =
-            t.get("metrics", JsonValue::Kind::Array);
-        const JsonValue *ticks =
-            t.get("ticks", JsonValue::Kind::Array);
-        const JsonValue *deltas =
-            t.get("deltas", JsonValue::Kind::Array);
-        if (!t.ok)
-            return false;
-        for (const JsonValue &name : metrics->items)
-            ts.names.push_back(name.text);
-        for (const JsonValue &tick : ticks->items)
-            ts.ticks.push_back(static_cast<Tick>(jsonU64(tick)));
-        for (const JsonValue &d : deltas->items)
-            ts.deltas.push_back(jsonU64(d));
-        if (ts.names.empty() ||
-            ts.deltas.size() != ts.ticks.size() * ts.names.size()) {
-            error = "ragged timeseries in wire record";
-            return false;
-        }
-    }
-
-    // Tolerant like timeseries: absent means the point ran without
-    // --attrib, not a malformed record.
-    if (stats_v->has("attribution")) {
-        const JsonValue &ar_v = stats_v->at("attribution");
-        if (ar_v.kind != JsonValue::Kind::Object) {
-            error = "attribution is not an object";
-            return false;
-        }
-        WireReader a{ar_v, error};
-        AttributionResult &ar = s.attribution;
-        ar.enabled = true;
-        auto row = [&error](const JsonValue &v, std::size_t want,
-                            const char *what) -> bool {
-            if (v.kind != JsonValue::Kind::Array ||
-                v.items.size() != want) {
-                error = std::string("bad attribution ") + what +
-                        " row";
-                return false;
-            }
-            return true;
-        };
-        const JsonValue *classes =
-            a.get("classes", JsonValue::Kind::Array);
-        const JsonValue *locks = a.get("locks", JsonValue::Kind::Array);
-        const JsonValue *homes = a.get("homes", JsonValue::Kind::Array);
-        const JsonValue *hot_blocks =
-            a.get("hotBlocks", JsonValue::Kind::Array);
-        const JsonValue *hot_locks =
-            a.get("hotLocks", JsonValue::Kind::Array);
-        ar.matchedTxns = a.u64("matchedTxns");
-        ar.unmatchedDir = a.u64("unmatchedDir");
-        ar.matchedLocks = a.u64("matchedLocks");
-        ar.unmatchedLocks = a.u64("unmatchedLocks");
-        ar.fanoutTotal = a.u64("fanoutTotal");
-        ar.fanoutImprecise = a.u64("fanoutImprecise");
-        if (!a.ok)
-            return false;
-        if (classes->items.size() != numAttribClasses) {
-            error = "attribution classes has " +
-                    std::to_string(classes->items.size()) +
-                    " rows, expected " +
-                    std::to_string(numAttribClasses);
-            return false;
-        }
-        for (unsigned c = 0; c < numAttribClasses; ++c) {
-            const JsonValue &v = classes->items[c];
-            if (!row(v, 11, "class"))
-                return false;
-            AttribSegments &g = ar.classes[c];
-            g.count = jsonU64(v.items[0]);
-            g.latency = jsonU64(v.items[1]);
-            g.request = jsonU64(v.items[2]);
-            g.dirQueue = jsonU64(v.items[3]);
-            g.dirService = jsonU64(v.items[4]);
-            g.ownerFetch = jsonU64(v.items[5]);
-            g.invalFanout = jsonU64(v.items[6]);
-            g.ackCollect = jsonU64(v.items[7]);
-            g.dataReturn = jsonU64(v.items[8]);
-            g.fill = jsonU64(v.items[9]);
-            g.dataHops = jsonU64(v.items[10]);
-        }
-        if (!row(*locks, 4, "locks"))
-            return false;
-        ar.locks.count = jsonU64(locks->items[0]);
-        ar.locks.latency = jsonU64(locks->items[1]);
-        ar.locks.homeQueue = jsonU64(locks->items[2]);
-        ar.locks.transfer = jsonU64(locks->items[3]);
-        for (const JsonValue &v : homes->items) {
-            if (!row(v, 7, "home"))
-                return false;
-            AttribHomeStats h;
-            h.node = static_cast<NodeId>(jsonU64(v.items[0]));
-            h.dirRequests = jsonU64(v.items[1]);
-            h.dirWaitTotal = jsonU64(v.items[2]);
-            h.dirWaitP99 = v.items[3].number;
-            h.lockGrants = jsonU64(v.items[4]);
-            h.lockWaitTotal = jsonU64(v.items[5]);
-            h.lockWaitP99 = v.items[6].number;
-            ar.homes.push_back(h);
-        }
-        auto hot = [&](const JsonValue *rows,
-                       std::vector<AttribHotSpot> &dst) -> bool {
-            for (const JsonValue &v : rows->items) {
-                if (!row(v, 5, "hot-spot"))
-                    return false;
-                AttribHotSpot h;
-                h.addr = static_cast<Addr>(jsonU64(v.items[0]));
-                h.home = static_cast<NodeId>(jsonU64(v.items[1]));
-                h.count = jsonU64(v.items[2]);
-                h.totalWait = jsonU64(v.items[3]);
-                h.p99Wait = v.items[4].number;
-                dst.push_back(h);
-            }
-            return true;
-        };
-        if (!hot(hot_blocks, ar.hotBlocks) ||
-            !hot(hot_locks, ar.hotLocks))
-            return false;
     }
     return true;
 }
@@ -2690,9 +2251,13 @@ loadJournal(const std::string &path)
         ++lineno;
         if (line.empty())
             continue;
+        if (line.rfind(retiredWirePrefix, 0) == 0) {
+            ++load.stale;
+            continue;
+        }
         SweepResult res;
         std::string err;
-        if (!parseWireResult(line, res, err)) {
+        if (!readPoint(line, res, err)) {
             // A corrupt or truncated line (e.g. a crash mid-append on
             // a filesystem without ordered data) is preserved in a
             // sidecar, never silently dropped: losing a record is
@@ -2800,58 +2365,44 @@ runFaultSelfTest(const Options &base)
 
     std::printf("[3/4] subprocess stats bit-identical to "
                 "in-process\n");
-    const char *apps[] = {"migratory", "producer_consumer",
-                          "false_sharing"};
+    auto run = [&params](const Options &o) {
+        auto runner = std::make_unique<SweepRunner>(o);
+        for (const char *app :
+             {"migratory", "producer_consumer", "false_sharing"})
+            runner->add(app, params, app);
+        runner->runAll();
+        return runner;
+    };
     // hostSeconds is the one legitimately host-dependent field;
     // everything else must match to the bit.
-    auto wire_no_host = [](SweepResult r) {
-        r.hostSeconds = 0;
-        return serializeWireResult(r);
-    };
-    {
-        Options in = opts;
-        in.isolate = IsolateMode::None;
-        in.timeoutSec = 0;
-        SweepRunner r_in(in);
-        SweepRunner r_proc(opts);
-        for (const char *app : apps) {
-            r_in.add(app, params, app);
-            r_proc.add(app, params, app);
+    auto identical = [](const SweepRunner &a, const SweepRunner &b) {
+        for (std::size_t i = 0; i < a.results().size(); ++i) {
+            SweepResult x = a[i], y = b[i];
+            x.hostSeconds = y.hostSeconds = 0;
+            if (writePoint(x) != writePoint(y))
+                return false;
         }
-        r_in.runAll();
-        r_proc.runAll();
-        bool identical = true;
-        for (std::size_t i = 0; i < 3; ++i)
-            identical = identical && wire_no_host(r_in[i]) ==
-                                         wire_no_host(r_proc[i]);
-        check(identical,
-              "all healthy points bit-identical across modes");
-    }
+        return true;
+    };
+    Options in = opts;
+    in.isolate = IsolateMode::None;
+    in.timeoutSec = 0;
+    Options journaled = opts;
+    journaled.journalPath = dir + "/resume.jsonl";
+    auto r_in = run(in);
+    auto r_proc = run(journaled);
+    check(identical(*r_in, *r_proc),
+          "all healthy points bit-identical across modes");
 
     std::printf("[4/4] journal resume skips completed points\n");
-    {
-        Options first = opts;
-        first.journalPath = dir + "/resume.jsonl";
-        SweepRunner r1(first);
-        for (const char *app : apps)
-            r1.add(app, params, app);
-        r1.runAll();
-        check(r1.executedCount() == 3, "first run executed all");
-
-        Options second = first;
-        second.resumePath = first.journalPath;
-        SweepRunner r2(second);
-        for (const char *app : apps)
-            r2.add(app, params, app);
-        r2.runAll();
-        check(r2.executedCount() == 0,
-              "resumed run re-executed nothing");
-        bool identical = true;
-        for (std::size_t i = 0; i < 3; ++i)
-            identical = identical && wire_no_host(r1[i]) ==
-                                         wire_no_host(r2[i]);
-        check(identical, "resumed stats identical to first run");
-    }
+    Options resume = journaled;
+    resume.resumePath = journaled.journalPath;
+    auto r_resumed = run(resume);
+    check(r_proc->executedCount() == 3 &&
+              r_resumed->executedCount() == 0,
+          "resumed run re-executed nothing");
+    check(identical(*r_in, *r_resumed),
+          "resumed stats identical to the in-process run");
 
     // Best-effort cleanup of the scratch dir.
     for (const char *name :
@@ -2895,34 +2446,6 @@ benchRegistry()
                          return a.order < b.order;
                      });
     return registry;
-}
-
-int
-standaloneMain(int argc, char **argv, const BenchDef &def)
-{
-    Options opts = parseOptions(argc, argv);
-    SweepRunner runner(opts);
-    RenderFn render = def.setup(runner, opts);
-    runner.runAll();
-    if (runner.interrupted()) {
-        // Completed points are journaled; nothing else is
-        // trustworthy enough to render or write.
-        return exitCodeInterrupted;
-    }
-    if (render)
-        render();
-    if (!opts.jsonPath.empty())
-        writeJson(opts.jsonPath, def.name, opts, runner.results(),
-                  runner.totalHostSeconds());
-    if (runner.anyFailed()) {
-        std::fprintf(stderr,
-                     "%s: %zu sweep point(s) failed:%s\n",
-                     std::string(def.name).c_str(),
-                     runner.failedCount(),
-                     runner.failureSummary().c_str());
-        return exitCodePointsFailed;
-    }
-    return 0;
 }
 
 } // namespace cpx::bench

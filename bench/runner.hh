@@ -20,8 +20,9 @@
  *   const SweepResult &r = runner[h]; // render tables
  *
  * Each bench module registers itself with CPX_BENCH_DEFINE so the
- * combined driver (tools/cpxbench) can run every table and figure
- * through one shared pool and write one BENCH_results.json.
+ * driver (tools/cpxbench) can run every table and figure through one
+ * shared pool and write one BENCH_results.json; `cpxbench --only=NAME`
+ * runs a single module.
  */
 
 #ifndef CPX_BENCH_RUNNER_HH
@@ -78,17 +79,28 @@ struct Options
 };
 
 /**
- * Parse the options every bench binary accepts:
+ * A driver's own flag handler for parseOptions(): returns true if it
+ * consumed @p arg (possibly editing @p opts), false if @p arg is not
+ * one of its flags.
+ */
+using ExtraOption = std::function<bool(const char *arg, Options &opts)>;
+
+/**
+ * Parse the options every bench driver accepts:
  *   --scale=F --procs=N --jobs=N --seed=N --json=PATH
  *   --sample-interval=N --attrib --sim-threads=N
  *   --isolate=none|process --timeout=SECONDS
  *   --retries=N --journal=PATH --resume=PATH --cache=DIR
- * (CPX_SCALE in the environment seeds the default scale.)
+ * starting from @p defaults (CPX_SCALE in the environment seeds the
+ * default scale). Flags are applied in order, so a later flag
+ * overrides an earlier one; an argument none of them matches goes to
+ * @p extra, and is fatal if @p extra does not consume it either.
  * Numbers are checked: malformed values, trailing garbage and zero
  * procs/jobs are fatal. --resume implies --journal at the same path
  * unless one was given explicitly.
  */
-Options parseOptions(int argc, char **argv);
+Options parseOptions(int argc, char **argv, Options defaults = {},
+                     const ExtraOption &extra = nullptr);
 
 /** One queued (application × machine) configuration. */
 struct SweepPoint
@@ -218,7 +230,7 @@ class SweepRunner
     }
 
     /** True if any finished point failed (process-mode outcomes). */
-    bool anyFailed() const;
+    bool anyFailed() const { return failedCount() > 0; }
 
     /** Number of finished points that failed. */
     std::size_t failedCount() const;
@@ -262,12 +274,11 @@ class SweepRunner
 
 /**
  * Write @p results as a machine-readable JSON document (see
- * DESIGN.md §11 for the schema). @p suite names the producing
- * harness ("cpxbench" or an individual bench target). The write is
- * atomic: the document goes to "<path>.tmp", is fsync'd, and is
+ * DESIGN.md §11 for the schema): a header, then one writePoint()
+ * record per line. @p suite names the producing harness. The write
+ * is atomic: the document goes to "<path>.tmp", is fsync'd, and is
  * rename()d into place, so a crash mid-write never leaves a torn
- * results file to poison a later --baseline comparison. Failed
- * points emit a "status"/"error" block instead of stats.
+ * results file to poison a later --baseline comparison.
  */
 void writeJson(const std::string &path, const std::string &suite,
                const Options &opts,
@@ -281,34 +292,33 @@ constexpr int exitCodePointsFailed = 3;
 /** SIGINT/SIGTERM stopped the sweep; completed work is journaled. */
 constexpr int exitCodeInterrupted = 130;
 
-// --- subprocess wire format / journal --------------------------------------
+// --- point record: sweep file, journal, cache and worker pipe -------------
 
 /**
- * Serialize one finished point as a single-line "cpx-wire-1" JSON
- * record: status, error, attempts, hostSeconds, config hash, and —
- * for completed simulations — every RunResult field at full
- * fidelity (u64s exact, doubles via %.17g). This is what a worker
- * subprocess writes to its result pipe, what the journal stores per
- * line, and what the cache stores per file; parseWireResult()
- * reconstructs the SweepResult bit-identically.
+ * Encode one finished point as the single-line cpx-sweep-1 point
+ * object (DESIGN.md §11). The sweep file lists these records; the
+ * journal and the worker pipe carry one per line, the cache one per
+ * file. A completed point carries every RunResult field at full
+ * fidelity (u64s exact, doubles via %.17g); a failed point carries
+ * its classification only.
  */
-std::string serializeWireResult(const SweepResult &result);
+std::string writePoint(const SweepResult &result);
 
 /**
- * Parse one wire record (as produced by serializeWireResult) back
- * into @p out. The point itself (app/params/tag) is NOT on the wire
- * — the caller re-derives it from its own queue and matches by
- * config hash. Returns false and fills @p error on malformed or
- * version-mismatched input.
+ * Decode one writePoint() record into @p out, bit-identically. The
+ * point's machine parameters are not restored: the caller re-derives
+ * the point from its own queue and matches it by config hash.
+ * Returns false and fills @p error on malformed input.
  */
-bool parseWireResult(const std::string &line, SweepResult &out,
-                     std::string &error);
+bool readPoint(const std::string &line, SweepResult &out,
+               std::string &error);
 
 /** Journal contents, indexed by config hash (later lines win). */
 struct JournalLoad
 {
     std::map<std::string, SweepResult> byHash;
     std::size_t entries = 0;      //!< valid records loaded
+    std::size_t stale = 0;        //!< retired-format records (re-run)
     std::size_t quarantined = 0;  //!< corrupt/truncated lines
     std::string quarantineFile;   //!< where bad lines were copied
 };
@@ -317,7 +327,9 @@ struct JournalLoad
  * Load a JSONL outcome journal. Corrupt or truncated lines are
  * quarantined, not silently skipped: each is appended verbatim to
  * "<path>.quarantine", counted, and warn()ed about, while every
- * valid line is kept. A missing journal loads as empty.
+ * valid line is kept. Records in the retired "cpx-wire-1" format are
+ * counted as stale and skipped, so their points re-run. A missing
+ * journal loads as empty.
  */
 JournalLoad loadJournal(const std::string &path);
 
@@ -350,12 +362,36 @@ struct JsonValue
     const JsonValue &at(const std::string &key) const;
 };
 
+/** @p obj's number member @p key, or @p fallback if there is none. */
+double numberOr(const JsonValue &obj, const char *key, double fallback);
+
+/** @p obj's string member @p key, or @p fallback if there is none. */
+std::string textOr(const JsonValue &obj, const char *key,
+                   const char *fallback);
+
 /**
  * Parse a JSON document. On success returns true and fills @p out;
  * on malformed input returns false and fills @p error.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);
+
+/**
+ * Decode the optional blocks of one sweep-file point object — the
+ * sampled "timeseries" and the "attribution" — into @p out through
+ * the point codec. They may be absent; one that is present but
+ * incomplete makes this return false and fill @p error. Works on
+ * points of every cpx-sweep-1 file, old ones included.
+ */
+bool readOptionalBlocks(const JsonValue &point, RunResult &out,
+                        std::string &error);
+
+/**
+ * Read and parse the JSON file @p path. On failure returns false and
+ * fills @p error, naming the path.
+ */
+bool loadJsonFile(const std::string &path, JsonValue &doc,
+                  std::string &error);
 
 /**
  * Load and validate a sweep-results JSON file: parseable, carries
@@ -421,10 +457,12 @@ using SetupFn = RenderFn (*)(SweepRunner &runner, const Options &opts);
 
 struct BenchDef
 {
-    const char *name;         //!< binary name, e.g. "fig2_exectime_rc"
+    const char *name;         //!< --only name, e.g. "fig2_exectime_rc"
     const char *title;        //!< one-line description for --list
     int order;                //!< position in the cpxbench suite
     SetupFn setup;
+    bool defaultSuite = true; //!< runs without --only; false keeps an
+                              //!< opt-in grid out of the smoke sweep
 };
 
 /** Every bench module linked into this binary, sorted by order. */
@@ -439,34 +477,12 @@ struct BenchRegistrar
 } // namespace detail
 
 /**
- * Shared main() for a standalone bench binary: parse options, run
- * the module's grid, render, optionally write JSON.
+ * Define one bench module for tools/cpxbench:
+ * CPX_BENCH_DEFINE(id, title, order, setup[, defaultSuite]).
  */
-int standaloneMain(int argc, char **argv, const BenchDef &def);
-
-/**
- * Define one bench module. Registers it for tools/cpxbench; when the
- * translation unit is compiled with CPX_BENCH_STANDALONE (the
- * per-target bench binaries), also emits a main().
- */
-#ifdef CPX_BENCH_STANDALONE
-#define CPX_BENCH_DEFINE(id, title_, order_, setup_)                    \
-    static const ::cpx::bench::BenchDef benchDef_##id{                  \
-        #id, title_, order_, setup_};                                   \
+#define CPX_BENCH_DEFINE(id, ...)                                       \
     static const ::cpx::bench::detail::BenchRegistrar                   \
-        benchRegistrar_##id{benchDef_##id};                             \
-    int main(int argc, char **argv)                                     \
-    {                                                                   \
-        return ::cpx::bench::standaloneMain(argc, argv,                 \
-                                            benchDef_##id);             \
-    }
-#else
-#define CPX_BENCH_DEFINE(id, title_, order_, setup_)                    \
-    static const ::cpx::bench::BenchDef benchDef_##id{                  \
-        #id, title_, order_, setup_};                                   \
-    static const ::cpx::bench::detail::BenchRegistrar                   \
-        benchRegistrar_##id{benchDef_##id};
-#endif
+        benchRegistrar_##id{::cpx::bench::BenchDef{#id, __VA_ARGS__}};
 
 } // namespace cpx::bench
 

@@ -11,12 +11,12 @@
  * directories (DESIGN.md §16), reporting execution time and network
  * traffic relative to BASIC on the same machine.
  *
- * Deliberately NOT part of the cpxbench default suite: the committed
- * BENCH_baseline.json gate requires an unchanged point count, and
- * these grids are an order of magnitude beyond the smoke sweep.
- * Build/run it standalone:
+ * Deliberately NOT part of the cpxbench default suite (its BenchDef
+ * sets defaultSuite = false): the committed BENCH_baseline.json gate
+ * requires an unchanged point count, and these grids are an order of
+ * magnitude beyond the smoke sweep. Run it by name:
  *
- *   ./bench/scaling_matrix --scale=0.05 --json=SCALING.json
+ *   cpxbench --only=scaling_matrix --scale=0.05 --json=SCALING.json
  */
 
 #include <cstdio>
@@ -130,4 +130,4 @@ setup(SweepRunner &runner, const Options &)
 
 CPX_BENCH_DEFINE(scaling_matrix,
                  "Scaling matrix — 16/64/256-node directory "
-                 "representations", 130, setup)
+                 "representations", 130, setup, false)

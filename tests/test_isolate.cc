@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -49,28 +50,16 @@ smallParams()
     return params;
 }
 
-void
-expectBitIdentical(const RunResult &a, const RunResult &b)
+/**
+ * A result's whole point record with the one host-dependent field
+ * zeroed: equal records mean bit-identical results, every stat,
+ * histogram, series and attribution row included.
+ */
+std::string
+record(SweepResult r)
 {
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.busy, b.busy);
-    EXPECT_EQ(a.readStall, b.readStall);
-    EXPECT_EQ(a.writeStall, b.writeStall);
-    EXPECT_EQ(a.acquireStall, b.acquireStall);
-    EXPECT_EQ(a.releaseStall, b.releaseStall);
-    EXPECT_EQ(a.sharedAccesses, b.sharedAccesses);
-    EXPECT_EQ(a.coldReadMisses, b.coldReadMisses);
-    EXPECT_EQ(a.cohReadMisses, b.cohReadMisses);
-    EXPECT_EQ(a.replReadMisses, b.replReadMisses);
-    EXPECT_EQ(a.writeMissesTotal, b.writeMissesTotal);
-    EXPECT_EQ(a.netBytes, b.netBytes);
-    EXPECT_EQ(a.netMessages, b.netMessages);
-    EXPECT_EQ(a.invalidationsSent, b.invalidationsSent);
-    EXPECT_EQ(a.updatesForwarded, b.updatesForwarded);
-    EXPECT_EQ(a.migratoryDetections, b.migratoryDetections);
-    EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued);
-    EXPECT_EQ(a.combinedWrites, b.combinedWrites);
-    EXPECT_EQ(a.avgReadMissLatency, b.avgReadMissLatency);
+    r.hostSeconds = 0;
+    return writePoint(r);
 }
 
 TEST(IsolateClassification, FaultWorkersBecomePerPointStatuses)
@@ -200,10 +189,7 @@ TEST(IsolateDeterminism, ProcessModeMatchesInProcess)
     for (std::size_t i = 0; i < inproc.size(); ++i) {
         SCOPED_TRACE(inproc[i].point.app);
         EXPECT_TRUE(forked[i].ok());
-        EXPECT_EQ(inproc[i].configHash, forked[i].configHash);
-        EXPECT_EQ(inproc[i].run.execTime, forked[i].run.execTime);
-        EXPECT_EQ(inproc[i].run.verified, forked[i].run.verified);
-        expectBitIdentical(inproc[i].run.stats, forked[i].run.stats);
+        EXPECT_EQ(record(inproc[i]), record(forked[i]));
     }
 }
 
@@ -216,22 +202,22 @@ TEST(IsolateWire, RoundTripPreservesResult)
     runner.runAll();
     ASSERT_TRUE(runner[h].ok());
 
-    std::string line = serializeWireResult(runner[h]);
+    std::string line = writePoint(runner[h]);
     EXPECT_EQ(line.find('\n'), std::string::npos);
 
     SweepResult parsed;
     std::string error;
-    ASSERT_TRUE(parseWireResult(line, parsed, error)) << error;
+    ASSERT_TRUE(readPoint(line, parsed, error)) << error;
     EXPECT_EQ(parsed.status, PointStatus::Ok);
     EXPECT_EQ(parsed.configHash, runner[h].configHash);
-    EXPECT_EQ(parsed.attempts, runner[h].attempts);
-    EXPECT_EQ(parsed.run.execTime, runner[h].run.execTime);
     EXPECT_TRUE(parsed.run.verified);
-    expectBitIdentical(parsed.run.stats, runner[h].run.stats);
+    // The machine parameters come from the caller's own queue.
+    parsed.point = runner[h].point;
+    EXPECT_EQ(writePoint(parsed), line);
 
-    EXPECT_FALSE(parseWireResult("{\"schema\": \"bogus\"}", parsed,
-                                 error));
-    EXPECT_FALSE(parseWireResult("not json at all", parsed, error));
+    EXPECT_FALSE(readPoint("{\"schema\": \"bogus\"}", parsed, error));
+    EXPECT_FALSE(readPoint("not json at all", parsed, error));
+    EXPECT_FALSE(readPoint("[1, 2]", parsed, error));
 }
 
 TEST(IsolateJournal, ResumeSkipsExactlyTheCompletedSet)
@@ -271,8 +257,7 @@ TEST(IsolateJournal, ResumeSkipsExactlyTheCompletedSet)
         SCOPED_TRACE(first[handles[i]].point.app);
         EXPECT_EQ(second[handles2[i]].source, ResultSource::Journal);
         EXPECT_TRUE(second[handles2[i]].ok());
-        expectBitIdentical(first[handles[i]].run.stats,
-                           second[handles2[i]].run.stats);
+        EXPECT_EQ(record(first[handles[i]]), record(second[handles2[i]]));
     }
 
     // A grid with one extra point resumes the three and runs only it.
@@ -311,7 +296,7 @@ TEST(IsolateJournal, CorruptLinesAreQuarantinedNotDropped)
     // corruption; the valid record must survive both.
     {
         std::ofstream out(journal, std::ios::app);
-        out << "{\"schema\": \"cpx-wire-1\", \"status\":\n";
+        out << "{\"tag\": \"corrupt\", \"status\":\n";
         out << "** not json **\n";
     }
 
@@ -334,6 +319,102 @@ TEST(IsolateJournal, CorruptLinesAreQuarantinedNotDropped)
 
     std::remove(journal.c_str());
     std::remove(quarantine.c_str());
+}
+
+TEST(IsolateJournal, SampledAttributedPointRoundTrips)
+{
+    // The richest record there is — interval series, attribution
+    // rows, every histogram — must survive the journal exactly.
+    const std::string journal =
+        testing::TempDir() + "cpx_isolate_rich.jsonl";
+    std::remove(journal.c_str());
+
+    Options opts = isolateOptions();
+    opts.isolate = IsolateMode::None;
+    opts.timeoutSec = 0;
+    opts.sampleInterval = 2000;
+    opts.attrib = true;
+    opts.journalPath = journal;
+    MachineParams mesh = makeParams(ProtocolConfig::pcwm(),
+                                    Consistency::ReleaseConsistency,
+                                    NetworkKind::Mesh, 32);
+    SweepRunner first(opts);
+    std::size_t h = first.add("migratory", mesh, "rich");
+    first.runAll();
+    const RunResult &s = first[h].run.stats;
+    ASSERT_TRUE(first[h].ok());
+    ASSERT_FALSE(s.timeseries.empty());
+    ASSERT_TRUE(s.attribution.enabled);
+    ASSERT_GT(s.readMissLatency.summary().count(), 0u);
+
+    Options resume = opts;
+    resume.resumePath = journal;
+    SweepRunner second(resume);
+    std::size_t h2 = second.add("migratory", mesh, "rich");
+    second.runAll();
+    EXPECT_EQ(second.executedCount(), 0u);
+    EXPECT_EQ(second[h2].source, ResultSource::Journal);
+    EXPECT_EQ(writePoint(second[h2]), writePoint(first[h]));
+    // Record equality cannot see a field the codec drops on both
+    // sides, so check the ones no gated block carries directly.
+    const RunResult &r = second[h2].run.stats;
+    EXPECT_TRUE(std::equal(std::begin(r.classBytes),
+                           std::end(r.classBytes),
+                           std::begin(s.classBytes)));
+    EXPECT_EQ(r.ownershipRequests, s.ownershipRequests);
+    EXPECT_EQ(r.updatesForwarded, s.updatesForwarded);
+    EXPECT_EQ(r.counterInvalidations, s.counterInvalidations);
+    EXPECT_EQ(r.readMissLatency.summary().sum(),
+              s.readMissLatency.summary().sum());
+    EXPECT_EQ(formatAttribution(r.attribution),
+              formatAttribution(s.attribution));
+
+    std::remove(journal.c_str());
+}
+
+TEST(IsolateJournal, RetiredWireRecordIsStaleAndReruns)
+{
+    // A record in the retired cpx-wire-1 format is never trusted —
+    // even one claiming the point's current hash — and never
+    // mistaken for corruption: it is counted stale and its point
+    // re-runs.
+    const std::string journal =
+        testing::TempDir() + "cpx_isolate_stale.jsonl";
+    const std::string quarantine = journal + ".quarantine";
+    std::remove(journal.c_str());
+    std::remove(quarantine.c_str());
+
+    Options opts = isolateOptions();
+    const std::string hash =
+        pointConfigHash({"migratory", smallParams(), "stale",
+                         opts.scale, opts.seed},
+                        opts.sampleInterval);
+    {
+        std::ofstream out(journal);
+        out << "{\"schema\":\"cpx-wire-1\",\"hash\":\"" << hash
+            << "\",\"status\":\"ok\",\"error\":\"\",\"attempts\":1,"
+               "\"hostSeconds\":0.5,\"execTime\":1,\"verified\":true,"
+               "\"stats\":{}}\n";
+    }
+
+    JournalLoad load = loadJournal(journal);
+    EXPECT_EQ(load.stale, 1u);
+    EXPECT_EQ(load.entries, 0u);
+    EXPECT_EQ(load.quarantined, 0u);
+    EXPECT_NE(::access(quarantine.c_str(), F_OK), 0);
+
+    Options resume = opts;
+    resume.resumePath = journal;
+    SweepRunner runner(resume);
+    std::size_t h = runner.add("migratory", smallParams(), "stale");
+    runner.runAll();
+    EXPECT_EQ(runner.executedCount(), 1u);
+    EXPECT_EQ(runner[h].source, ResultSource::Executed);
+    EXPECT_EQ(runner[h].configHash, hash);
+    EXPECT_TRUE(runner[h].ok());
+    EXPECT_NE(::access(quarantine.c_str(), F_OK), 0);
+
+    std::remove(journal.c_str());
 }
 
 TEST(IsolateJson, AtomicWriteLeavesNoTempFile)

@@ -7,6 +7,8 @@
 # gated against the baseline (any simulated-stat drift fails; an
 # events/sec regression only warns; the in-process-generated baseline
 # makes the gate a cross-isolation-mode bit-identity check) — a
+# resume of that sweep from its journal that must execute nothing and
+# pass the same gate, a
 # parallel-kernel bit-identity matrix (the smoke suite re-run at
 # --sim-threads=1/2/4, every results file gated against the same
 # baseline, so thread-count determinism is enforced on every sweep
@@ -49,6 +51,18 @@ run_suite() {
     echo "== test $dir (ctest -j $jobs)"
     ctest --test-dir "$root/$dir" --output-on-failure -j "$jobs" >/dev/null
     stage_done "$dir"
+}
+
+# Validate a results file and, when a committed BENCH_baseline.json
+# exists, gate it against the baseline: any simulated-stat drift
+# fails; an events/sec regression only warns.
+check_json() {
+    if [ -f "$root/BENCH_baseline.json" ]; then
+        "$root/$prefix/tools/cpxbench" --check-json="$1" \
+            --baseline="$root/BENCH_baseline.json"
+    else
+        "$root/$prefix/tools/cpxbench" --check-json="$1"
+    fi
 }
 
 run_suite "$prefix"           -DCPX_SANITIZE=OFF
@@ -95,14 +109,27 @@ test -s "$bench_json" || {
     echo "cpxbench smoke run produced no JSON" >&2
     exit 1
 }
-if [ -f "$root/BENCH_baseline.json" ]; then
-    "$root/$prefix/tools/cpxbench" --check-json="$bench_json" \
-        --baseline="$root/BENCH_baseline.json"
-else
-    "$root/$prefix/tools/cpxbench" --check-json="$bench_json"
-fi
+check_json "$bench_json"
 "$root/$prefix/tools/cpxbench" --perf-summary="$bench_json"
 stage_done "harness smoke sweep"
+
+# Resume from the smoke journal: every point must be reused, none
+# executed, and the resumed results must pass the same baseline gate
+# — which pushes all the smoke records through the one point codec
+# (journal line -> SweepResult -> sweep file) at no simulation cost.
+echo "== resume from journal (cpxbench --resume)"
+resumed_json="$root/$prefix/BENCH_resumed.json"
+resume_log="$root/$prefix/BENCH_resumed.log"
+rm -f "$resumed_json"
+"$root/$prefix/tools/cpxbench" --smoke --resume="$bench_journal" \
+    --json="$resumed_json" >/dev/null 2>"$resume_log"
+grep -q "; 0 to run" "$resume_log" || {
+    echo "resumed smoke sweep re-executed points:" >&2
+    cat "$resume_log" >&2
+    exit 1
+}
+check_json "$resumed_json"
+stage_done "resume from journal"
 
 # Parallel-kernel bit-identity matrix: the same smoke suite at
 # several --sim-threads values. Each results file must validate and
@@ -119,12 +146,7 @@ for w in 1 2 4; do
     rm -f "$mt_json"
     "$root/$prefix/tools/cpxbench" --smoke --jobs="$jobs" \
         --sim-threads="$w" --json="$mt_json" >/dev/null
-    if [ -f "$root/BENCH_baseline.json" ]; then
-        "$root/$prefix/tools/cpxbench" --check-json="$mt_json" \
-            --baseline="$root/BENCH_baseline.json"
-    else
-        "$root/$prefix/tools/cpxbench" --check-json="$mt_json"
-    fi
+    check_json "$mt_json"
     echo "   --sim-threads=$w OK"
 done
 "$root/$prefix/tools/cpxbench" \
@@ -133,20 +155,21 @@ done
 stage_done "sim-threads bit-identity matrix"
 
 # Directory-scaling smoke: the 16/64/256-node representation matrix
-# (bench/scaling_matrix, standalone-only so the cpxbench suite's
-# point count — and the baseline gate above — stay untouched), run
+# (cpxbench --only=scaling_matrix; it is kept out of the default suite
+# so the suite's point count — and the baseline gate above — stay
+# untouched), run
 # journaled under process isolation with the parallel kernel. The
 # results file must validate; there is no baseline for it (the grid
 # is new), but every point must verify. Followed by invariant-checked
 # stress spot-runs at the two scaled configurations the overflow
 # machinery exists for: limited pointers at 64 nodes and the coarse
 # vector at 256.
-echo "== directory scaling matrix (scaling_matrix --isolate=process)"
+echo "== directory scaling matrix (--only=scaling_matrix --isolate=process)"
 scaling_json="$root/$prefix/BENCH_scaling.json"
 scaling_journal="$root/$prefix/BENCH_scaling.jsonl"
 rm -f "$scaling_json" "$scaling_journal" "$scaling_journal.quarantine"
-"$root/$prefix/bench/scaling_matrix" --scale=0.02 --jobs="$jobs" \
-    --sim-threads=4 --isolate=process --timeout=600 \
+"$root/$prefix/tools/cpxbench" --only=scaling_matrix --scale=0.02 \
+    --jobs="$jobs" --sim-threads=4 --isolate=process --timeout=600 \
     --journal="$scaling_journal" --json="$scaling_json" >/dev/null
 "$root/$prefix/tools/cpxbench" --check-json="$scaling_json"
 for cfg in "--nodes=64 --dir=limptr4B" "--nodes=64 --dir=limptr4E" \
@@ -191,12 +214,7 @@ attrib_md="$root/$prefix/REPORT_attrib.md"
 rm -f "$attrib_json" "$attrib_md"
 "$root/$prefix/tools/cpxbench" --smoke --jobs="$jobs" --attrib \
     --json="$attrib_json" >/dev/null
-if [ -f "$root/BENCH_baseline.json" ]; then
-    "$root/$prefix/tools/cpxbench" --check-json="$attrib_json" \
-        --baseline="$root/BENCH_baseline.json"
-else
-    "$root/$prefix/tools/cpxbench" --check-json="$attrib_json"
-fi
+check_json "$attrib_json"
 "$root/$prefix/tools/cpxreport" "$attrib_json" --out="$attrib_md"
 for section in "Where the cycles went" "Contention hot spots"; do
     grep -q "$section" "$attrib_md" || {

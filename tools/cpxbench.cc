@@ -51,7 +51,8 @@
  *                   (deliberately crashing/hanging/garbage workers)
  *                   and exit 0 iff the supervisor classifies and
  *                   survives every failure class
- *   --only=A,B      run only the named bench targets
+ *   --only=A,B      run only the named bench targets (the only way
+ *                   to run an opt-in target such as scaling_matrix)
  *   --list          list bench targets and exit
  *   --check-json=P  validate an existing results file (parseable,
  *                   cpx-sweep-1 schema, every point verified) and
@@ -86,24 +87,19 @@
  * interrupted by SIGINT/SIGTERM (journaled work is resumable).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/runner.hh"
-#include "sim/parse.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace cpx;
     using namespace cpx::bench;
-
-    Options opts;
-    opts.jsonPath = "BENCH_results.json";
-    if (const char *env = std::getenv("CPX_SCALE"))
-        opts.scale = parsePositiveDouble(env, "CPX_SCALE");
 
     std::vector<std::string> only;
     bool list_only = false;
@@ -115,135 +111,84 @@ main(int argc, char **argv)
     std::string perf_summary;
     std::string speedup_vs;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--scale=", 8) == 0)
-            opts.scale = parsePositiveDouble(arg + 8, "--scale");
-        else if (std::strncmp(arg, "--procs=", 8) == 0)
-            opts.procs = parsePositiveUnsigned(arg + 8, "--procs");
-        else if (std::strncmp(arg, "--jobs=", 7) == 0)
-            opts.jobs = parsePositiveUnsigned(arg + 7, "--jobs");
-        else if (std::strncmp(arg, "--seed=", 7) == 0)
-            opts.seed = parseU64(arg + 7, "--seed");
-        else if (std::strncmp(arg, "--json=", 7) == 0)
-            opts.jsonPath = arg + 7;
-        else if (std::strncmp(arg, "--sample-interval=", 18) == 0)
-            opts.sampleInterval =
-                parseU64(arg + 18, "--sample-interval");
-        else if (std::strcmp(arg, "--attrib") == 0)
-            opts.attrib = true;
-        else if (std::strncmp(arg, "--sim-threads=", 14) == 0)
-            opts.simThreads =
-                parsePositiveUnsigned(arg + 14, "--sim-threads");
-        else if (std::strncmp(arg, "--isolate=", 10) == 0) {
-            const char *mode = arg + 10;
-            if (std::strcmp(mode, "none") == 0)
-                opts.isolate = IsolateMode::None;
-            else if (std::strcmp(mode, "process") == 0)
-                opts.isolate = IsolateMode::Process;
-            else
-                fatal("bad --isolate mode '%s' (use none|process)",
-                      mode);
-        } else if (std::strncmp(arg, "--timeout=", 10) == 0)
-            opts.timeoutSec =
-                parsePositiveDouble(arg + 10, "--timeout");
-        else if (std::strncmp(arg, "--retries=", 10) == 0)
-            opts.retries = static_cast<unsigned>(
-                parseU64(arg + 10, "--retries"));
-        else if (std::strncmp(arg, "--journal=", 10) == 0)
-            opts.journalPath = arg + 10;
-        else if (std::strncmp(arg, "--resume=", 9) == 0) {
-            opts.resumePath = arg + 9;
-            if (opts.journalPath.empty())
-                opts.journalPath = opts.resumePath;
-        } else if (std::strncmp(arg, "--cache=", 8) == 0)
-            opts.cachePath = arg + 8;
-        else if (std::strcmp(arg, "--self-test-faults") == 0)
-            self_test = true;
-        else if (std::strcmp(arg, "--allow-failed") == 0)
-            allow_failed = true;
-        else if (std::strcmp(arg, "--smoke") == 0) {
+    // The shared harness flags are parseOptions()'s; only the
+    // driver's own flags are handled here.
+    auto driver_flag = [&](const char *arg, Options &opts) {
+        auto value = [arg](const char *prefix) -> const char * {
+            std::size_t n = std::strlen(prefix);
+            return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
+        };
+        if (std::strcmp(arg, "--smoke") == 0) {
             opts.scale = 0.1;
             opts.procs = 8;
-        } else if (std::strncmp(arg, "--only=", 7) == 0) {
-            std::string names = arg + 7;
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                std::size_t comma = names.find(',', pos);
-                std::string name = names.substr(
-                    pos, comma == std::string::npos ? comma
-                                                    : comma - pos);
-                if (!name.empty())
-                    only.push_back(name);
-                pos = comma == std::string::npos ? comma : comma + 1;
+        } else if (const char *names = value("--only=")) {
+            std::string list = names;
+            for (std::size_t pos = 0; pos <= list.size();) {
+                std::size_t comma = std::min(list.find(',', pos),
+                                             list.size());
+                if (comma > pos)
+                    only.push_back(list.substr(pos, comma - pos));
+                pos = comma + 1;
             }
+        } else if (std::strcmp(arg, "--self-test-faults") == 0) {
+            self_test = true;
+        } else if (std::strcmp(arg, "--allow-failed") == 0) {
+            allow_failed = true;
         } else if (std::strcmp(arg, "--list") == 0) {
             list_only = true;
-        } else if (std::strncmp(arg, "--check-json=", 13) == 0) {
-            check_json = arg + 13;
-        } else if (std::strncmp(arg, "--check-trace=", 14) == 0) {
-            check_trace = arg + 14;
-        } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-            baseline = arg + 11;
-        } else if (std::strncmp(arg, "--perf-summary=", 15) == 0) {
-            perf_summary = arg + 15;
-        } else if (std::strncmp(arg, "--speedup-vs=", 13) == 0) {
-            speedup_vs = arg + 13;
+        } else if (const char *v = value("--check-json=")) {
+            check_json = v;
+        } else if (const char *v = value("--check-trace=")) {
+            check_trace = v;
+        } else if (const char *v = value("--baseline=")) {
+            baseline = v;
+        } else if (const char *v = value("--perf-summary=")) {
+            perf_summary = v;
+        } else if (const char *v = value("--speedup-vs=")) {
+            speedup_vs = v;
         } else {
-            fatal("unknown option '%s' (see the header of "
-                  "tools/cpxbench.cc)",
-                  arg);
+            return false;
         }
-    }
-
-    if (opts.isolate == IsolateMode::None && opts.timeoutSec > 0)
-        fatal("--timeout requires --isolate=process");
+        return true;
+    };
+    Options defaults;
+    defaults.jsonPath = "BENCH_results.json";
+    const Options opts = parseOptions(argc, argv, defaults, driver_flag);
 
     if (self_test)
         return runFaultSelfTest(opts);
 
-    if (!perf_summary.empty()) {
-        std::string error;
-        if (!printPerfSummary(perf_summary, error, speedup_vs)) {
-            std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
-            return 1;
-        }
-        return 0;
-    }
+    // The file-checking modes run nothing.
+    std::string error, warning;
+    auto failed = [&error] {
+        std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
+        return 1;
+    };
+    if (!perf_summary.empty())
+        return printPerfSummary(perf_summary, error, speedup_vs) ? 0
+                                                                 : failed();
     if (!speedup_vs.empty())
         fatal("--speedup-vs requires --perf-summary");
-
     if (!check_trace.empty()) {
-        std::string error;
-        if (!validateTraceFile(check_trace, error)) {
-            std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
-            return 1;
-        }
+        if (!validateTraceFile(check_trace, error))
+            return failed();
         std::printf("%s: OK\n", check_trace.c_str());
         return 0;
     }
-
     if (!check_json.empty()) {
-        std::string error;
-        if (!validateResultsFile(check_json, error, allow_failed)) {
-            std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
-            return 1;
-        }
-        if (!baseline.empty()) {
-            std::string warning;
-            if (!compareToBaseline(check_json, baseline, error,
-                                   warning)) {
-                std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
-                return 1;
-            }
-            if (!warning.empty())
-                std::fprintf(stderr, "cpxbench: warning: %s\n",
-                             warning.c_str());
-            std::printf("%s: OK (matches baseline %s)\n",
-                        check_json.c_str(), baseline.c_str());
+        if (!validateResultsFile(check_json, error, allow_failed))
+            return failed();
+        if (baseline.empty()) {
+            std::printf("%s: OK\n", check_json.c_str());
             return 0;
         }
-        std::printf("%s: OK\n", check_json.c_str());
+        if (!compareToBaseline(check_json, baseline, error, warning))
+            return failed();
+        if (!warning.empty())
+            std::fprintf(stderr, "cpxbench: warning: %s\n",
+                         warning.c_str());
+        std::printf("%s: OK (matches baseline %s)\n",
+                    check_json.c_str(), baseline.c_str());
         return 0;
     }
     if (!baseline.empty())
@@ -255,31 +200,27 @@ main(int argc, char **argv)
         return 0;
     }
 
-    for (const std::string &name : only) {
-        bool known = false;
-        for (const BenchDef &def : benchRegistry())
-            known = known || name == def.name;
-        if (!known)
+    // Without --only, the default suite; with it, exactly the named
+    // targets (opt-in ones included).
+    std::vector<const BenchDef *> selected;
+    for (const BenchDef &def : benchRegistry())
+        if (only.empty() ? def.defaultSuite
+                         : std::count(only.begin(), only.end(), def.name))
+            selected.push_back(&def);
+    for (const std::string &name : only)
+        if (std::none_of(selected.begin(), selected.end(),
+                         [&name](const BenchDef *def) {
+                             return name == def->name;
+                         }))
             fatal("--only: unknown bench target '%s' (try --list)",
                   name.c_str());
-    }
-    auto selected = [&only](const BenchDef &def) {
-        if (only.empty())
-            return true;
-        for (const std::string &name : only)
-            if (name == def.name)
-                return true;
-        return false;
-    };
 
     // Queue every selected target's grid, run the union over one
     // pool, then render in canonical order.
     SweepRunner runner(opts);
     std::vector<RenderFn> renders;
-    for (const BenchDef &def : benchRegistry()) {
-        if (selected(def))
-            renders.push_back(def.setup(runner, opts));
-    }
+    for (const BenchDef *def : selected)
+        renders.push_back(def->setup(runner, opts));
     runner.runAll();
 
     if (runner.interrupted()) {
