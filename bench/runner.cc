@@ -1383,10 +1383,11 @@ optionalBlocks(Codec &c, Stats &s)
     c.optional("attribution", s.attribution.enabled, [&] {
         auto &ar = s.attribution;
         c.block("classes", [&] {
-            for (unsigned k = 0; k < numAttribClasses; ++k) {
+            for (unsigned k = 0; k < numTxnKinds; ++k) {
                 auto &g = ar.classes[k];
                 bool seen = g.count != 0;  // zero rows stay default
-                c.optional(attribClassName(k), seen, [&] {
+                c.optional(txnKindName(static_cast<TxnKind>(k)), seen,
+                           [&] {
                     c.field("count", g.count);
                     c.field("latency", g.latency);
                     c.field("request", g.request);

@@ -13,7 +13,7 @@ namespace cpx
 CoherenceChecker::CoherenceChecker(System &sys_, Options opts_)
     : sys(sys_), opts(opts_)
 {
-    sys.setObserver(this);
+    sys.installProbe(this);
 }
 
 CoherenceChecker::CoherenceChecker(System &sys_)
@@ -23,26 +23,7 @@ CoherenceChecker::CoherenceChecker(System &sys_)
 
 CoherenceChecker::~CoherenceChecker()
 {
-    if (sys.observer() == this)
-        sys.setObserver(nullptr);
-}
-
-void
-CoherenceChecker::onDirectoryTransition(NodeId, Addr block)
-{
-    checkBlock(block);
-}
-
-void
-CoherenceChecker::onSlcTransition(NodeId, Addr block)
-{
-    checkBlock(block);
-}
-
-void
-CoherenceChecker::onMessageDelivered(NodeId, NodeId)
-{
-    ++messages;
+    sys.removeProbe(this);
 }
 
 void

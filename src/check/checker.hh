@@ -2,7 +2,7 @@
  * @file
  * Runtime coherence-invariant checker.
  *
- * Installs itself as the system's ProtocolObserver and, after every
+ * Installs itself as a probe (src/obs/probe.hh) and, after every
  * directory transaction and SLC line transition, re-validates the
  * core invariants of the BASIC+P/M/CW protocol for the affected
  * block:
@@ -27,8 +27,9 @@
  * designed. Quiescence at drain is checked separately
  * (checkQuiescent()).
  *
- * Costs nothing when not constructed: the protocol agents guard
- * each observer notification with one inline null check.
+ * Costs nothing when not constructed: with no probe installed each
+ * milestone is one untaken branch. The checker reads every node's
+ * state, so a checked run uses one worker (sequentialOnly()).
  */
 
 #ifndef CPX_CHECK_CHECKER_HH
@@ -43,7 +44,7 @@
 namespace cpx
 {
 
-class CoherenceChecker : public ProtocolObserver
+class CoherenceChecker : public Probe
 {
   public:
     struct Options
@@ -59,20 +60,29 @@ class CoherenceChecker : public ProtocolObserver
         std::size_t maxViolations = 64;
     };
 
-    /** Installs itself as @p sys's observer. */
+    /** Installs itself on @p sys's probe stream. */
     CoherenceChecker(System &sys, Options opts);
     explicit CoherenceChecker(System &sys);
 
-    /** Uninstalls the observer. */
-    ~CoherenceChecker() override;
+    /** Uninstalls itself. */
+    ~CoherenceChecker();
 
     CoherenceChecker(const CoherenceChecker &) = delete;
     CoherenceChecker &operator=(const CoherenceChecker &) = delete;
 
-    // --- ProtocolObserver -------------------------------------------------
-    void onDirectoryTransition(NodeId home, Addr block) override;
-    void onSlcTransition(NodeId node, Addr block) override;
-    void onMessageDelivered(NodeId src, NodeId dst) override;
+    // --- Probe ------------------------------------------------------------
+    bool sequentialOnly() const override { return true; }
+    void onDirState(NodeId, Addr block, std::uint64_t, NodeId,
+                    bool) override {
+        checkBlock(block);
+    }
+    void onSlcState(NodeId, Addr block, SlcLineState) override {
+        checkBlock(block);
+    }
+    void onMsgRecv(NodeId, NodeId, unsigned, MsgClass,
+                   std::uint64_t) override {
+        ++messages;
+    }
 
     /**
      * Final full sweep (checkQuiescent) while cached copies and

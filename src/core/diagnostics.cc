@@ -1,34 +1,13 @@
 #include "core/diagnostics.hh"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "obs/trace.hh"
+#include "sim/logging.hh"
 
 namespace cpx
 {
-
-namespace
-{
-
-/** printf into a growing std::string. */
-void
-append(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-append(std::string &out, const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    out += buf;
-}
-
-} // anonymous namespace
 
 std::string
 formatStallDiagnostics(System &sys)

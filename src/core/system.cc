@@ -6,8 +6,10 @@
 
 #include "core/diagnostics.hh"
 #include "net/chaos_network.hh"
-#include "proto/sharer_set.hh"
+#include "obs/attrib.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
+#include "proto/sharer_set.hh"
 #include "sim/logging.hh"
 
 namespace cpx
@@ -113,6 +115,32 @@ System::allProcessorsFinished() const
     return true;
 }
 
+template <typename Sink>
+void
+System::replaceSink(Sink *&slot, Sink *sink, const char *what)
+{
+    // A sink indexes its per-node storage by node id unchecked.
+    if (sink && sink->numNodes() != params_.numProcs)
+        fatal("%s built for %u nodes installed on a %u-node system",
+              what, sink->numNodes(), params_.numProcs);
+    removeProbe(slot);
+    slot = sink;
+    if (sink)
+        installProbe(sink);
+}
+
+void
+System::setTracer(TraceSink *sink)
+{
+    replaceSink(tracer_, sink, "trace sink");
+}
+
+void
+System::setAttrib(AttribSink *sink)
+{
+    replaceSink(attrib_, sink, "attribution sink");
+}
+
 Tick
 System::run(const std::function<void(Processor &, unsigned)> &body,
             Tick limit)
@@ -123,10 +151,10 @@ System::run(const std::function<void(Processor &, unsigned)> &body,
     ran = true;
 
     unsigned workers = simThreads_;
-    if (observer() && workers > 1) {
-        // The coherence checker keeps order-dependent state across
-        // nodes; running it sharded would race. Checked runs are a
-        // debugging tool — correctness beats speed here.
+    if (workers > 1 && probes() && probes()->sequentialOnly()) {
+        // The coherence checker reads state across nodes; running it
+        // sharded would race. Checked runs are a debugging tool —
+        // correctness beats speed here.
         warn("protocol observer installed: forcing --sim-threads=1 "
              "(was %u)", workers);
         workers = 1;
@@ -225,8 +253,7 @@ System::simNow() const
 void
 System::flushFunctionalState()
 {
-    if (ProtocolObserver *obs = observer())
-        obs->onBeforeFunctionalFlush();
+    CPX_PROBE(*this, onBeforeFunctionalFlush);
     for (auto &n : nodes)
         n->slc.flushFunctionalState();
 }

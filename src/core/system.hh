@@ -26,6 +26,9 @@
 namespace cpx
 {
 
+class AttribSink;
+class TraceSink;
+
 class System : public Fabric
 {
   public:
@@ -66,6 +69,19 @@ class System : public Fabric
     Node &node(NodeId n) { return *nodes[n]; }
     const Node &node(NodeId n) const { return *nodes[n]; }
     SharedHeap &heap() { return sharedHeap; }
+
+    // --- observers ---------------------------------------------------------
+    /**
+     * Install the flight recorder (src/obs/trace.hh) on the probe
+     * stream, replacing any previous one; nullptr removes it.
+     * fatal() if @p sink was built for a different node count.
+     */
+    void setTracer(TraceSink *sink);
+    TraceSink *tracer() const { return tracer_; }
+
+    /** Same for the stall-attribution sink (src/obs/attrib.hh). */
+    void setAttrib(AttribSink *sink);
+    AttribSink *attrib() const { return attrib_; }
 
     /** The mesh model, or nullptr when the uniform network is used. */
     MeshNetwork *mesh() { return meshPtr; }
@@ -137,6 +153,9 @@ class System : public Fabric
     const SlabTelemetry &kernelTelemetry() const { return telemetry; }
 
   private:
+    template <typename Sink>
+    void replaceSink(Sink *&slot, Sink *sink, const char *what);
+
     MachineParams params_;
     unsigned simThreads_;
     EventQueue eventQueue;  //!< kernel queue (system-level events)
@@ -148,6 +167,8 @@ class System : public Fabric
     std::vector<std::unique_ptr<EventQueue>> nodeQueues;
     std::vector<std::unique_ptr<Node>> nodes;
     SlabTelemetry telemetry;
+    TraceSink *tracer_ = nullptr;
+    AttribSink *attrib_ = nullptr;
     bool ran = false;
 };
 

@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "obs/attrib.hh"
 #include "obs/metrics.hh"
 #include "proto/lock_manager.hh"
 #include "proto/messenger.hh"
@@ -285,15 +284,8 @@ Processor::lock(Addr lock_addr)
     suspend();
     waitingForLock = false;
     breakdown.acquireStall += fabric.eq().now() - t0 - 1;
-    if (AttribSink *attrib = fabric.attrib()) {
-        AttribRecord rec;
-        rec.kind = AttribRecord::Kind::LockDone;
-        rec.node = static_cast<std::uint16_t>(self);
-        rec.addr = lock_addr;
-        rec.t0 = t0;
-        rec.t1 = fabric.eq().now();
-        attrib->record(self, rec);
-    }
+    CPX_PROBE(fabric, onLockDone, self, lock_addr, t0,
+              fabric.eq().now());
 }
 
 void

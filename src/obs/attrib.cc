@@ -2,28 +2,63 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <unordered_map>
 
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace cpx
 {
 
-const char *
-attribClassName(unsigned cls)
+void
+AttribSink::onTxnEnd(NodeId node, Addr block, TxnKind kind, Tick start,
+                     Tick delivered, Tick done)
 {
-    switch (static_cast<AttribClass>(cls)) {
-      case AttribClass::Read:      return "read";
-      case AttribClass::Prefetch:  return "prefetch";
-      case AttribClass::WriteMiss: return "write-miss";
-      case AttribClass::Upgrade:   return "upgrade";
-      case AttribClass::Update:    return "update";
-      case AttribClass::WriteBack: return "writeback";
-      default:                     return "?";
-    }
+    record(node, {.kind = AttribRecord::Kind::TxnDone,
+                  .node = static_cast<std::uint16_t>(node),
+                  .aux = static_cast<std::uint32_t>(kind),
+                  .addr = block,
+                  .t0 = start, .t1 = delivered, .t2 = done});
+}
+
+void
+AttribSink::onDirServiceDone(NodeId home, Addr block,
+                             const DirService &svc, Tick done)
+{
+    const std::uint8_t flags =
+        (svc.fetch ? AttribRecord::flagFetch : 0) |
+        (svc.imprecise ? AttribRecord::flagImprecise : 0);
+    record(home, {.kind = AttribRecord::Kind::DirDone,
+                  .flags = flags,
+                  .node = static_cast<std::uint16_t>(home),
+                  .aux = svc.from |
+                         (static_cast<std::uint32_t>(svc.kind) << 16),
+                  .addr = block,
+                  .t0 = svc.enqueuedAt, .t1 = svc.dequeuedAt,
+                  .t2 = svc.actionAt, .t3 = svc.fanoutAt,
+                  .t4 = svc.lastRespAt, .t5 = done});
+}
+
+void
+AttribSink::onLockGrant(NodeId home, Addr lock, NodeId to, Tick arrived,
+                        Tick sent)
+{
+    record(home, {.kind = AttribRecord::Kind::LockGrant,
+                  .node = static_cast<std::uint16_t>(home),
+                  .aux = to,
+                  .addr = lock,
+                  .t0 = arrived, .t1 = sent});
+}
+
+void
+AttribSink::onLockDone(NodeId node, Addr lock, Tick issued, Tick granted)
+{
+    record(node, {.kind = AttribRecord::Kind::LockDone,
+                  .node = static_cast<std::uint16_t>(node),
+                  .addr = lock,
+                  .t0 = issued, .t1 = granted});
 }
 
 namespace
@@ -70,17 +105,6 @@ topN(const std::map<Addr, HotAcc> &by_addr, std::size_t n)
     if (rows.size() > n)
         rows.resize(n);
     return rows;
-}
-
-void
-append(std::string &out, const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
 }
 
 } // namespace
@@ -131,12 +155,12 @@ aggregateAttribution(const AttribSink &sink,
                     if (r.flags & AttribRecord::flagImprecise)
                         ar.fanoutImprecise++;
                 }
-                if (static_cast<AttribClass>(r.aux >> 16) ==
-                    AttribClass::WriteBack) {
+                if (static_cast<TxnKind>(r.aux >> 16) ==
+                    TxnKind::WriteBack) {
                     // Home-only: no requester-side transaction ever
                     // exists for a write-back.
                     AttribSegments &row = ar.classes[static_cast<
-                        unsigned>(AttribClass::WriteBack)];
+                        unsigned>(TxnKind::WriteBack)];
                     row.count++;
                     row.latency += sub(r.t5, r.t0);
                     row.dirQueue += wait;
@@ -189,7 +213,7 @@ aggregateAttribution(const AttribSink &sink,
                 continue; // truncated run: reply without home record
             ar.matchedTxns++;
             unsigned cls = t->aux;
-            if (cls >= numAttribClasses)
+            if (cls >= numTxnKinds)
                 cls = 0;
             AttribSegments &row = ar.classes[cls];
             row.count++;
@@ -308,7 +332,7 @@ formatAttribution(const AttributionResult &ar)
            "%-11s %9s %11s %9s %9s %9s %9s %9s %9s %9s %9s\n",
            "class", "count", "latency", "request", "dirQueue",
            "dirServ", "fetch", "fanout", "ackColl", "dataRet", "fill");
-    for (unsigned c = 0; c < numAttribClasses; ++c) {
+    for (unsigned c = 0; c < numTxnKinds; ++c) {
         const AttribSegments &row = ar.classes[c];
         if (!row.count)
             continue;
@@ -316,10 +340,10 @@ formatAttribution(const AttributionResult &ar)
                "%-11s %9" PRIu64 " %11" PRIu64 " %9" PRIu64 " %9" PRIu64
                " %9" PRIu64 " %9" PRIu64 " %9" PRIu64 " %9" PRIu64
                " %9" PRIu64 " %9" PRIu64 "\n",
-               attribClassName(c), row.count, row.latency, row.request,
-               row.dirQueue, row.dirService, row.ownerFetch,
-               row.invalFanout, row.ackCollect, row.dataReturn,
-               row.fill);
+               txnKindName(static_cast<TxnKind>(c)), row.count,
+               row.latency, row.request, row.dirQueue, row.dirService,
+               row.ownerFetch, row.invalFanout, row.ackCollect,
+               row.dataReturn, row.fill);
     }
     if (ar.locks.count) {
         double hq = ar.locks.latency

@@ -3,11 +3,12 @@
  * Causal stall attribution: per-transaction critical-path profiling.
  *
  * The flight recorder (trace.hh) answers "what happened"; this sink
- * answers "where did the cycles go". Protocol agents deposit one
- * compact record per completed unit of work — an SLC transaction at
- * its requester, a directory service at its home, a lock grant at the
- * lock's home, a lock acquire at its requester — each carrying the
- * simulated-tick stamps of the causal milestones along its path.
+ * answers "where did the cycles go". It is a Probe (probe.hh) that
+ * keeps one compact record per completed unit of work — an SLC
+ * transaction at its requester, a directory service at its home, a
+ * lock grant at the lock's home, a lock acquire at its requester —
+ * each carrying the simulated-tick stamps of the causal milestones
+ * along its path.
  * After the run, aggregateAttribution() joins the requester-side and
  * home-side records of the same transaction (the per-(block,
  * requester) serialization the protocol already guarantees makes the
@@ -29,8 +30,8 @@
  * waits).
  *
  * Recording is observation-only: agents stamp inert fields on state
- * they already own and append records behind a single null-check
- * branch (the CPX_RECORD discipline), so simulated stats are
+ * they already own and emit milestones behind a single null-check
+ * branch (CPX_PROBE), so simulated stats are
  * bit-identical with attribution on or off. Records live in per-node
  * vectors appended only by the worker that owns the node, so the sink
  * is safe under the parallel kernel without locks; the kernel's
@@ -46,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/probe.hh"
 #include "sim/types.hh"
 
 namespace cpx
@@ -72,16 +74,14 @@ struct AttribRecord
     // flags bits
     static constexpr std::uint8_t flagFetch = 1u << 0;     //!< owner recall path
     static constexpr std::uint8_t flagImprecise = 1u << 1; //!< fan-out over inexact sharer set
-    static constexpr std::uint8_t flagPrefetch = 1u << 2;  //!< request was a prefetch
 
     Kind kind = Kind::TxnDone;
     std::uint8_t flags = 0;
     std::uint16_t node = 0;   //!< recording node (home or requester)
-    std::uint32_t aux = 0;    //!< DirDone: requester | class << 16;
+    std::uint32_t aux = 0;    //!< DirDone: requester | TxnKind << 16;
                               //!< LockGrant: grantee node;
-                              //!< TxnDone: SLC Txn::Kind code
+                              //!< TxnDone: TxnKind code
     Addr addr = 0;            //!< block / lock address
-    std::uint32_t fanout = 0; //!< DirDone: inval/probe targets
     // Kind-specific milestone ticks:
     //   TxnDone:   t0 issue, t1 reply delivered, t2 completed
     //   DirDone:   t0 enqueued, t1 dequeued, t2 acted, t3 fan-out
@@ -92,17 +92,26 @@ struct AttribRecord
 };
 
 /**
- * Per-node append-only record store. Install on a Fabric with
- * setAttrib(); agents guard every deposit with one null check, so the
- * disabled path costs exactly one untaken branch.
+ * Per-node append-only record store. Install on a System with
+ * setAttrib(); it turns the four completion milestones into records.
  */
-class AttribSink
+class AttribSink : public Probe
 {
   public:
     explicit AttribSink(unsigned num_nodes) : nodes(num_nodes) {}
 
     AttribSink(const AttribSink &) = delete;
     AttribSink &operator=(const AttribSink &) = delete;
+
+    // --- Probe ------------------------------------------------------------
+    void onTxnEnd(NodeId node, Addr block, TxnKind kind, Tick start,
+                  Tick delivered, Tick done) override;
+    void onDirServiceDone(NodeId home, Addr block, const DirService &svc,
+                          Tick done) override;
+    void onLockGrant(NodeId home, Addr lock, NodeId to, Tick arrived,
+                     Tick sent) override;
+    void onLockDone(NodeId node, Addr lock, Tick issued,
+                    Tick granted) override;
 
     void
     record(NodeId node, const AttribRecord &rec)
@@ -161,25 +170,6 @@ struct AttribSegments
     }
 };
 
-/** Transaction classes of the attribution matrix. WriteBack rows come
- *  from home-only records (no requester-side transaction exists). */
-enum class AttribClass : unsigned
-{
-    Read,
-    Prefetch,
-    WriteMiss,
-    Upgrade,
-    Update,
-    WriteBack,
-    NumClasses,
-};
-
-constexpr unsigned numAttribClasses =
-    static_cast<unsigned>(AttribClass::NumClasses);
-
-/** Matrix row label ("read", "write-miss", ...). */
-const char *attribClassName(unsigned cls);
-
 /** One hot-block / hot-lock table row. */
 struct AttribHotSpot
 {
@@ -219,7 +209,7 @@ struct AttribLockStats
 };
 
 /**
- * The aggregate a run carries in its RunResult: (class x segment)
+ * The aggregate a run carries in its RunResult: (TxnKind x segment)
  * matrix, lock split, per-home queue pressure, deterministic top-N
  * hot tables, and join/precision bookkeeping. Plain numbers only —
  * the working histograms are reduced at aggregation time so the
@@ -228,7 +218,8 @@ struct AttribLockStats
 struct AttributionResult
 {
     bool enabled = false;
-    AttribSegments classes[numAttribClasses];
+    AttribSegments classes[numTxnKinds];  //!< rows by TxnKind; the
+                                          //!< WriteBack row is home-only
     AttribLockStats locks;
     std::vector<AttribHomeStats> homes;
     std::vector<AttribHotSpot> hotBlocks;

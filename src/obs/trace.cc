@@ -1,7 +1,6 @@
 #include "obs/trace.hh"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <unordered_map>
@@ -14,22 +13,6 @@ namespace cpx
 
 namespace
 {
-
-/** printf into a growing std::string. */
-void
-append(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-append(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    out += buf;
-}
 
 const char *
 msgClassName(unsigned klass)
@@ -50,24 +33,34 @@ slcStateName(std::uint64_t code)
     return "?";
 }
 
+unsigned long long
+u(std::uint64_t v)
+{
+    return v;
+}
+
+/** Transaction kind of a TxnStart/TxnEnd record. */
+const char *
+txnName(const TraceRecord &r)
+{
+    return txnKindName(static_cast<TxnKind>(r.aux));
+}
+
 /** Kind-specific detail column of a tail line. */
 std::string
 describeRecord(const TraceRecord &r)
 {
     std::string out;
-    auto u = [](std::uint64_t v) {
-        return static_cast<unsigned long long>(v);
-    };
+    const NodeId peer = r.aux & tracePeerNone;  // packed by traceAux()
+    const unsigned tag = r.aux >> 16;
     switch (r.kind) {
       case TraceKind::MsgSend:
         append(out, "id=%llu -> node %u class=%s payload=%llu",
-               u(r.arg), traceAuxPeer(r.aux),
-               msgClassName(traceAuxClass(r.aux)), u(r.addr));
+               u(r.arg), peer, msgClassName(tag), u(r.addr));
         break;
       case TraceKind::MsgRecv:
-        append(out, "id=%llu <- node %u class=%s", u(r.arg),
-               traceAuxPeer(r.aux),
-               msgClassName(traceAuxClass(r.aux)));
+        append(out, "id=%llu <- node %u class=%s", u(r.arg), peer,
+               msgClassName(tag));
         break;
       case TraceKind::SlcState:
         append(out, "blk=%#llx state=%s", u(r.addr),
@@ -76,28 +69,23 @@ describeRecord(const TraceRecord &r)
       case TraceKind::DirState:
         append(out, "blk=%#llx presence=%#llx owner=%d mod=%u",
                u(r.addr), u(r.arg),
-               traceAuxPeer(r.aux) == tracePeerNone
-                   ? -1
-                   : static_cast<int>(traceAuxPeer(r.aux)),
-               r.aux >> 16);
+               peer == tracePeerNone ? -1 : static_cast<int>(peer), tag);
         break;
       case TraceKind::TxnStart:
-        append(out, "blk=%#llx %s", u(r.addr), traceTxnName(r.aux));
+        append(out, "blk=%#llx %s", u(r.addr), txnName(r));
         break;
       case TraceKind::TxnEnd:
         append(out, "blk=%#llx %s lat=%llu", u(r.addr),
-               traceTxnName(r.aux), u(r.arg));
+               txnName(r), u(r.arg));
         break;
       case TraceKind::PrefetchIssue:
       case TraceKind::PrefetchDrop:
+      case TraceKind::WcInsert:
+      case TraceKind::WcCombine:
         append(out, "blk=%#llx", u(r.addr));
         break;
       case TraceKind::PrefetchFill:
         append(out, "blk=%#llx lat=%llu", u(r.addr), u(r.arg));
-        break;
-      case TraceKind::WcInsert:
-      case TraceKind::WcCombine:
-        append(out, "blk=%#llx", u(r.addr));
         break;
       case TraceKind::WcFlush:
         append(out, "blk=%#llx mask=%#llx", u(r.addr), u(r.arg));
@@ -136,19 +124,6 @@ traceKindName(TraceKind kind)
     return "?";
 }
 
-const char *
-traceTxnName(std::uint32_t txn_code)
-{
-    switch (static_cast<TraceTxn>(txn_code)) {
-      case TraceTxn::Read:      return "read";
-      case TraceTxn::Prefetch:  return "prefetch";
-      case TraceTxn::WriteMiss: return "write-miss";
-      case TraceTxn::Upgrade:   return "upgrade";
-      case TraceTxn::Update:    return "update";
-    }
-    return "?";
-}
-
 std::vector<TraceRecord>
 TraceRing::snapshot() const
 {
@@ -164,7 +139,6 @@ TraceRing::snapshot() const
 
 TraceSink::TraceSink(unsigned num_nodes,
                      std::size_t capacity_per_node)
-    : msgIds(num_nodes)
 {
     if (num_nodes == 0)
         fatal("trace sink needs at least one node");
@@ -249,16 +223,13 @@ TraceSink::chromeTraceJson(const MetricTimeSeries *series) const
 
         for (std::size_t i = 0; i < recs.size(); ++i) {
             const TraceRecord &r = recs[i];
-            auto u = [](std::uint64_t v) {
-                return static_cast<unsigned long long>(v);
-            };
             if (role[i] == 'b' || role[i] == 'e') {
                 append(out,
                        ",\n{\"ph\":\"%c\",\"cat\":\"txn\","
                        "\"id\":\"0x%llx\",\"pid\":0,\"tid\":%u,"
                        "\"ts\":%llu,\"name\":\"%s\"",
                        role[i], u(pair[i]), n, u(r.tick),
-                       traceTxnName(r.aux));
+                       txnName(r));
                 if (role[i] == 'b')
                     append(out, ",\"args\":{\"block\":\"0x%llx\"}}",
                            u(r.addr));

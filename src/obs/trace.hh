@@ -5,10 +5,10 @@
  *
  * Every node owns a fixed-capacity ring of 32-byte TraceRecords; new
  * records overwrite the oldest once the ring is full, so memory is
- * bounded no matter how long the run is. Recording goes through the
- * CPX_RECORD macro, which compiles to a single predictable null-check
- * branch when no TraceSink is installed — the common case pays
- * nothing beyond that branch, preserving the kernel's events/s.
+ * bounded no matter how long the run is. The sink is a Probe
+ * (probe.hh): it turns each protocol milestone into one record, and
+ * with no probe installed the protocol pays one untaken branch per
+ * milestone, preserving the kernel's events/s.
  *
  * Three consumers read the rings:
  *  - the Chrome-trace-event JSON exporter (cpxsim --trace-out=PATH),
@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
+#include "obs/probe.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -51,26 +51,12 @@ enum class TraceKind : std::uint16_t
     WcInsert,       //!< write allocated a write-cache frame
     WcCombine,      //!< write combined into a resident frame
     WcFlush,        //!< combined-write flush issued (arg=dirty mask)
-    LockAcquire,    //!< lock granted by its home (aux=holder)
+    LockAcquire,    //!< lock granted by its home (aux=grantee)
     LockRelease,    //!< lock released at its home (aux=releaser)
-};
-
-/** SLC transaction kinds as recorded in TxnStart/TxnEnd aux. Mirrors
- *  SlcController::Txn::Kind (slc.cc converts explicitly). */
-enum class TraceTxn : std::uint32_t
-{
-    Read,
-    Prefetch,
-    WriteMiss,
-    Upgrade,
-    Update,
 };
 
 /** Short name of a record kind ("msg-send", "txn-start", ...). */
 const char *traceKindName(TraceKind kind);
-
-/** Name of a TraceTxn code ("read", "write-miss", ...). */
-const char *traceTxnName(std::uint32_t txn_code);
 
 /** One flight-recorder entry. Meaning of addr/arg/aux is per-kind
  *  (see TraceKind); compact and trivially copyable by design. */
@@ -81,30 +67,31 @@ struct TraceRecord
     std::uint64_t arg = 0;   //!< kind-specific (msg id, latency, mask)
     TraceKind kind = TraceKind::MsgSend;
     std::uint16_t node = 0;  //!< recording node
-    std::uint32_t aux = 0;   //!< kind-specific (peer|class, txn kind)
+    std::uint32_t aux = 0;   //!< kind-specific (peer|class, TxnKind)
 };
 
 static_assert(sizeof(TraceRecord) == 32,
               "trace records are meant to stay compact");
 
-/** Pack a message peer + class into a TraceRecord aux. */
-constexpr std::uint32_t
-traceMsgAux(NodeId peer, unsigned msg_class)
-{
-    return static_cast<std::uint32_t>(peer) | (msg_class << 16);
-}
-
 /**
- * Peer half of a packed aux word. `tracePeerNone` (sim/types.hh)
- * marks "no peer"; the static_assert there keeps every real NodeId
- * below it, so 256-node traces cannot alias the sentinel.
+ * Marks "no peer" in the 16-bit peer half of a packed aux word
+ * (message peers, the directory-state owner). Above every real node
+ * id, so 256-node traces cannot alias it.
  */
-constexpr NodeId
-traceAuxPeer(std::uint32_t aux)
+constexpr std::uint32_t tracePeerNone = 0xffffu;
+
+static_assert(maxNodes < tracePeerNone,
+              "node ids must fit below the packed-peer sentinel");
+
+/** Pack a peer (or invalidNode) and a 16-bit tag (a MsgClass, the
+ *  directory's modified bit) into an aux word. */
+template <typename Tag>
+constexpr std::uint32_t
+traceAux(NodeId peer, Tag tag)
 {
-    return aux & tracePeerNone;
+    return (peer == invalidNode ? tracePeerNone : peer & tracePeerNone) |
+           (static_cast<std::uint32_t>(tag) << 16);
 }
-constexpr unsigned traceAuxClass(std::uint32_t aux) { return aux >> 16; }
 
 /** Fixed-capacity overwrite-oldest record ring. */
 class TraceRing
@@ -149,16 +136,16 @@ class TraceRing
 
 /**
  * The per-system flight recorder: one ring per node plus the export
- * and dump machinery. Install on a Fabric with setTracer(); agents
- * reach it through CPX_RECORD. Timestamps come from the recording
- * thread's installed tick source (Logger::currentTick()): under the
- * parallel kernel each worker stamps with the queue of the node it is
- * executing, so records carry that node's time, not some other
- * partition's. Rings and message-id counters are per node, and a
- * node's records are only ever made by the worker that owns it, so
- * the sink is safe under the parallel kernel without locks.
+ * and dump machinery. Install on a System with setTracer(). Timestamps
+ * come from the recording thread's installed tick source
+ * (Logger::currentTick()): under the parallel kernel each worker
+ * stamps with the queue of the node it is executing, so records carry
+ * that node's time, not some other partition's. Rings are per node,
+ * and a node's milestones are only ever emitted by the worker that
+ * owns it, so the sink is safe under the parallel kernel without
+ * locks.
  */
-class TraceSink
+class TraceSink : public Probe
 {
   public:
     static constexpr std::size_t defaultRingCapacity = 4096;
@@ -171,26 +158,53 @@ class TraceSink
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
 
-    void
-    record(NodeId node, TraceKind kind, Addr addr,
-           std::uint64_t arg = 0, std::uint32_t aux = 0)
-    {
-        rings[node].push(TraceRecord{Logger::currentTick(), addr, arg,
-                                     kind,
-                                     static_cast<std::uint16_t>(node),
-                                     aux});
+    // --- Probe: each milestone but the attribution-only ones ---------------
+    void onMsgSend(NodeId src, NodeId dst, unsigned payload,
+                   MsgClass klass, std::uint64_t id) override {
+        record(src, TraceKind::MsgSend, payload, id, traceAux(dst, klass));
     }
-
-    /**
-     * Fresh correlation id for a message send/recv pair, drawn from
-     * @p src's private counter and tagged with the node id so ids
-     * stay globally unique (and nonzero) without shared state.
-     */
-    std::uint64_t
-    nextMsgId(NodeId src)
-    {
-        return (static_cast<std::uint64_t>(src) << 40) |
-               ++msgIds[src].count;
+    void onMsgRecv(NodeId src, NodeId dst, unsigned payload,
+                   MsgClass klass, std::uint64_t id) override {
+        record(dst, TraceKind::MsgRecv, payload, id, traceAux(src, klass));
+    }
+    void onSlcState(NodeId node, Addr block, SlcLineState st) override {
+        record(node, TraceKind::SlcState, block, std::uint64_t(st));
+    }
+    void onDirState(NodeId home, Addr block, std::uint64_t presence,
+                    NodeId owner, bool modified) override {
+        record(home, TraceKind::DirState, block, presence,
+               traceAux(owner, modified));
+    }
+    void onTxnStart(NodeId node, Addr block, TxnKind kind) override {
+        record(node, TraceKind::TxnStart, block, 0, std::uint32_t(kind));
+    }
+    void onTxnEnd(NodeId node, Addr block, TxnKind kind, Tick start,
+                  Tick, Tick done) override {
+        record(node, TraceKind::TxnEnd, block, done - start,
+               std::uint32_t(kind));
+    }
+    void onPrefetchIssue(NodeId node, Addr block) override {
+        record(node, TraceKind::PrefetchIssue, block);
+    }
+    void onPrefetchDrop(NodeId node, Addr block) override {
+        record(node, TraceKind::PrefetchDrop, block);
+    }
+    void onPrefetchFill(NodeId node, Addr block, Tick lat) override {
+        record(node, TraceKind::PrefetchFill, block, lat);
+    }
+    void onWcWrite(NodeId node, Addr block, bool combined) override {
+        record(node, combined ? TraceKind::WcCombine : TraceKind::WcInsert,
+               block);
+    }
+    void onWcFlush(NodeId node, Addr block, std::uint32_t mask) override {
+        record(node, TraceKind::WcFlush, block, mask);
+    }
+    void onLockGrant(NodeId home, Addr lock, NodeId to, Tick,
+                     Tick) override {
+        record(home, TraceKind::LockAcquire, lock, 0, to);
+    }
+    void onLockRelease(NodeId home, Addr lock, NodeId by) override {
+        record(home, TraceKind::LockRelease, lock, 0, by);
     }
 
     unsigned numNodes() const {
@@ -237,26 +251,19 @@ class TraceSink
   private:
     static void failureDump(void *ctx);
 
-    //! Per-source message-id counter, cache-line padded: each is
-    //! bumped only by the worker executing that node.
-    struct alignas(64) MsgIdCounter { std::uint64_t count = 0; };
+    void
+    record(NodeId node, TraceKind kind, Addr addr,
+           std::uint64_t arg = 0, std::uint32_t aux = 0)
+    {
+        rings[node].push(TraceRecord{Logger::currentTick(), addr, arg,
+                                     kind,
+                                     static_cast<std::uint16_t>(node),
+                                     aux});
+    }
 
     std::vector<TraceRing> rings;
-    std::vector<MsgIdCounter> msgIds;
 };
 
 } // namespace cpx
-
-/**
- * Record a protocol event iff a TraceSink is installed. @p sink_expr
- * is typically fabric.tracer(); the extra arguments are evaluated
- * only when tracing is on, so the disabled path is exactly one
- * null-check branch.
- */
-#define CPX_RECORD(sink_expr, node, kind, ...)                          \
-    do {                                                                \
-        if (::cpx::TraceSink *cpxSink_ = (sink_expr))                   \
-            cpxSink_->record(node, kind, __VA_ARGS__);                  \
-    } while (0)
 
 #endif // CPX_OBS_TRACE_HH

@@ -1,8 +1,6 @@
 #include "proto/directory.hh"
 
 #include "mem/backing_store.hh"
-#include "obs/attrib.hh"
-#include "obs/trace.hh"
 #include "proto/messenger.hh"
 #include "proto/slc.hh"
 #include "sim/logging.hh"
@@ -24,28 +22,29 @@ void
 DirectoryController::onReadReq(Addr block, NodeId from, bool prefetch)
 {
     ++statReads;
-    enqueue(block, Queued{ReqKind::Read, from, prefetch, 0, {}});
+    enqueue(block, Queued{prefetch ? TxnKind::Prefetch : TxnKind::Read,
+                          from, 0, {}});
 }
 
 void
 DirectoryController::onWriteReq(Addr block, NodeId from)
 {
     ++statWrites;
-    enqueue(block, Queued{ReqKind::Write, from, false, 0, {}});
+    enqueue(block, Queued{TxnKind::WriteMiss, from, 0, {}});
 }
 
 void
 DirectoryController::onUpgradeReq(Addr block, NodeId from)
 {
     ++statUpgrades;
-    enqueue(block, Queued{ReqKind::Upgrade, from, false, 0, {}});
+    enqueue(block, Queued{TxnKind::Upgrade, from, 0, {}});
 }
 
 void
 DirectoryController::onWriteBack(Addr block, NodeId from)
 {
     ++statWritebacks;
-    enqueue(block, Queued{ReqKind::WriteBack, from, false, 0, {}});
+    enqueue(block, Queued{TxnKind::WriteBack, from, 0, {}});
 }
 
 void
@@ -53,7 +52,7 @@ DirectoryController::onUpdateReq(Addr block, NodeId from,
                                  std::uint32_t dirty_mask,
                                  std::vector<std::uint32_t> words)
 {
-    enqueue(block, Queued{ReqKind::Update, from, false, dirty_mask,
+    enqueue(block, Queued{TxnKind::Update, from, dirty_mask,
                           std::move(words)});
 }
 
@@ -76,17 +75,10 @@ DirectoryController::startNext(Addr block)
     e.inService = true;
     Queued req = std::move(e.queue.front());
     e.queue.pop_front();
-    // Attribution milestones (inert stores; see Entry). The rest are
-    // filled in as the service progresses and read back in finish().
-    e.curEnqueuedAt = req.enqueuedAt;
-    e.curDequeuedAt = fabric.eq().now();
-    e.curActionAt = 0;
-    e.curFanoutAt = 0;
-    e.curLastRespAt = 0;
-    e.curFrom = req.from;
-    e.curKind = req.kind;
-    e.curFlags = req.prefetch ? AttribRecord::flagPrefetch : 0;
-    e.curFanout = 0;
+    e.svc = DirService{.enqueuedAt = req.enqueuedAt,
+                       .dequeuedAt = fabric.eq().now(),
+                       .from = req.from,
+                       .kind = req.kind};
     // The directory state lives in main memory: one memory access
     // before the request can be acted upon.
     fabric.eq().scheduleIn(params.memAccessLatency,
@@ -99,26 +91,27 @@ void
 DirectoryController::process(Addr block, const Queued &req)
 {
     Entry &e = entries[block];
-    e.curActionAt = fabric.eq().now();
+    e.svc.actionAt = fabric.eq().now();
     CPX_TRACE("Dir",
               "h%u blk=%llx kind=%d from=%u mod=%d owner=%u pres=%llx",
               self, (unsigned long long)block, (int)req.kind, req.from,
               e.modified, e.owner,
               (unsigned long long)e.sharers.expand(scfg).low64());
     switch (req.kind) {
-      case ReqKind::Read:
+      case TxnKind::Read:
+      case TxnKind::Prefetch:
         processRead(block, e, req);
         break;
-      case ReqKind::Write:
+      case TxnKind::WriteMiss:
         processWrite(block, e, req);
         break;
-      case ReqKind::Upgrade:
+      case TxnKind::Upgrade:
         processUpgrade(block, e, req);
         break;
-      case ReqKind::WriteBack:
+      case TxnKind::WriteBack:
         processWriteBack(block, e, req);
         break;
-      case ReqKind::Update:
+      case TxnKind::Update:
         processUpdate(block, e, req);
         break;
     }
@@ -127,47 +120,15 @@ DirectoryController::process(Addr block, const Queued &req)
 void
 DirectoryController::finish(Addr block, Entry &e)
 {
-    if (AttribSink *attrib = fabric.attrib()) {
-        AttribClass cls = AttribClass::Read;
-        switch (e.curKind) {
-          case ReqKind::Read:
-            cls = (e.curFlags & AttribRecord::flagPrefetch)
-                      ? AttribClass::Prefetch
-                      : AttribClass::Read;
-            break;
-          case ReqKind::Write:     cls = AttribClass::WriteMiss; break;
-          case ReqKind::Upgrade:   cls = AttribClass::Upgrade;   break;
-          case ReqKind::WriteBack: cls = AttribClass::WriteBack; break;
-          case ReqKind::Update:    cls = AttribClass::Update;    break;
-        }
-        AttribRecord rec;
-        rec.kind = AttribRecord::Kind::DirDone;
-        rec.flags = e.curFlags;
-        rec.node = static_cast<std::uint16_t>(self);
-        rec.aux = static_cast<std::uint32_t>(e.curFrom) |
-                  (static_cast<std::uint32_t>(cls) << 16);
-        rec.addr = block;
-        rec.fanout = e.curFanout;
-        rec.t0 = e.curEnqueuedAt;
-        rec.t1 = e.curDequeuedAt;
-        rec.t2 = e.curActionAt;
-        rec.t3 = e.curFanoutAt;
-        rec.t4 = e.curLastRespAt;
-        rec.t5 = fabric.eq().now();
-        attrib->record(self, rec);
-    }
+    CPX_PROBE(fabric, onDirServiceDone, self, block, e.svc,
+              fabric.eq().now());
     e.inService = false;
     e.txn.reset();
-    // Notify before startNext(): the observer sees the stable window
+    // Emit before startNext(): probes see the stable window
     // between transactions (startNext marks the block in service
     // again, which makes the checker skip it).
-    if (ProtocolObserver *obs = fabric.observer())
-        obs->onDirectoryTransition(self, block);
-    CPX_RECORD(fabric.tracer(), self, TraceKind::DirState, block,
-               e.sharers.expand(scfg).low64(),
-               (e.owner == invalidNode ? tracePeerNone
-                                       : e.owner & tracePeerNone) |
-                   (e.modified ? 1u << 16 : 0u));
+    CPX_PROBE(fabric, onDirState, self, block,
+              e.sharers.expand(scfg).low64(), e.owner, e.modified);
     if (!e.queue.empty())
         startNext(block);
 }
@@ -208,13 +169,11 @@ DirectoryController::processRead(Addr block, Entry &e, const Queued &req)
             // slot. The block stays in service meanwhile.
             ++statPtrEvict;
             NodeId victim = e.sharers.victim(scfg);
-            e.txn = Txn{.kind = ReqKind::Read,
+            e.txn = Txn{.kind = TxnKind::Read,
                         .requester = from,
-                        .prefetch = req.prefetch,
                         .evicting = true,
                         .pendingAcks = 1};
-            e.curFanoutAt = fabric.eq().now();
-            e.curFanout = 1;
+            e.svc.fanoutAt = fabric.eq().now();
             sendInvalidate(block, victim);
             return;
           }
@@ -243,11 +202,10 @@ DirectoryController::processRead(Addr block, Entry &e, const Queued &req)
     }
 
     bool handoff = e.migratory && params.protocol.migratory;
-    e.txn = Txn{.kind = ReqKind::Read,
+    e.txn = Txn{.kind = TxnKind::Read,
                 .requester = from,
-                .prefetch = req.prefetch,
                 .fetchInv = handoff};
-    e.curFlags |= AttribRecord::flagFetch;
+    e.svc.fetch = true;
     sendFetch(block, e.owner, handoff);
 }
 
@@ -299,10 +257,10 @@ DirectoryController::processWrite(Addr block, Entry &e, const Queued &req)
             finish(block, e);
             return;
         }
-        e.txn = Txn{.kind = ReqKind::Write,
+        e.txn = Txn{.kind = TxnKind::WriteMiss,
                     .requester = from,
                     .fetchInv = true};
-        e.curFlags |= AttribRecord::flagFetch;
+        e.svc.fetch = true;
         sendFetch(block, e.owner, true);
         return;
     }
@@ -322,13 +280,12 @@ DirectoryController::processWrite(Addr block, Entry &e, const Queued &req)
         return;
     }
 
-    e.txn = Txn{.kind = ReqKind::Write,
+    e.txn = Txn{.kind = TxnKind::WriteMiss,
                 .requester = from,
                 .pendingAcks = others.count()};
-    e.curFanoutAt = fabric.eq().now();
-    e.curFanout = others.count();
+    e.svc.fanoutAt = fabric.eq().now();
     if (!e.sharers.exact(scfg))
-        e.curFlags |= AttribRecord::flagImprecise;
+        e.svc.imprecise = true;
     others.forEach([&](NodeId j) { sendInvalidate(block, j); });
 }
 
@@ -348,10 +305,10 @@ DirectoryController::processUpgrade(Addr block, Entry &e,
         }
         // The requester's SHARED copy was invalidated by an earlier
         // transaction; it now needs data as well as ownership.
-        e.txn = Txn{.kind = ReqKind::Write,
+        e.txn = Txn{.kind = TxnKind::WriteMiss,
                     .requester = from,
                     .fetchInv = true};
-        e.curFlags |= AttribRecord::flagFetch;
+        e.svc.fetch = true;
         sendFetch(block, e.owner, true);
         return;
     }
@@ -362,7 +319,7 @@ DirectoryController::processUpgrade(Addr block, Entry &e,
         // (broadcast / coarse-vector) cannot name members. Serve as
         // a write miss so data travels with the ownership grant.
         processWrite(block, e,
-                     Queued{ReqKind::Write, from, false, 0, {}});
+                     Queued{TxnKind::WriteMiss, from, 0, {}});
         return;
     }
 
@@ -381,13 +338,12 @@ DirectoryController::processUpgrade(Addr block, Entry &e,
         return;
     }
 
-    e.txn = Txn{.kind = ReqKind::Upgrade,
+    e.txn = Txn{.kind = TxnKind::Upgrade,
                 .requester = from,
                 .pendingAcks = others.count()};
-    e.curFanoutAt = fabric.eq().now();
-    e.curFanout = others.count();
+    e.svc.fanoutAt = fabric.eq().now();
     if (!e.sharers.exact(scfg))
-        e.curFlags |= AttribRecord::flagImprecise;
+        e.svc.imprecise = true;
     others.forEach([&](NodeId j) { sendInvalidate(block, j); });
 }
 
@@ -400,7 +356,7 @@ DirectoryController::onInvAck(Addr block, NodeId from)
               static_cast<unsigned long long>(block), from);
     e.sharers.remove(scfg, from);
     if (--e.txn->pendingAcks == 0) {
-        e.curLastRespAt = fabric.eq().now();
+        e.svc.lastRespAt = fabric.eq().now();
         // Final ack: one memory access to update the directory state
         // before the grant leaves.
         fabric.eq().scheduleIn(params.memAccessLatency, [this, block] {
@@ -435,7 +391,7 @@ DirectoryController::completeOwnership(Addr block, Entry &e)
     e.owner = txn.requester;
     e.sharers.setOnly(scfg, txn.requester);
     e.lastWriter = txn.requester;
-    if (txn.kind == ReqKind::Upgrade) {
+    if (txn.kind == TxnKind::Upgrade) {
         sendReply(block, txn.requester, ReplyKind::UpgradeAck,
                   msg_bytes::control);
     } else {
@@ -464,7 +420,7 @@ DirectoryController::onFetchResp(Addr block, NodeId from,
         const NodeId req = txn.requester;
 
         switch (txn.kind) {
-          case ReqKind::Read:
+          case TxnKind::Read:
             if (txn.fetchInv) {
                 // Migratory handoff path. If the previous keeper
                 // never wrote the block, the pattern is not
@@ -502,8 +458,8 @@ DirectoryController::onFetchResp(Addr block, NodeId from,
             }
             break;
 
-          case ReqKind::Write:
-          case ReqKind::Upgrade:
+          case TxnKind::WriteMiss:
+          case TxnKind::Upgrade:
             e.modified = true;
             e.owner = req;
             e.sharers.setOnly(scfg, req);
@@ -512,7 +468,7 @@ DirectoryController::onFetchResp(Addr block, NodeId from,
                       msg_bytes::block(params.blockBytes));
             break;
 
-          case ReqKind::Update:
+          case TxnKind::Update:
             // CW flush to a block another cache held exclusively
             // (a migratory block under CW+M): the keeper was
             // invalidated and its data written back; now apply the
@@ -592,12 +548,12 @@ DirectoryController::processUpdate(Addr block, Entry &e,
         }
         // Another cache holds it exclusively: recall it, then the
         // update is absorbed by memory.
-        e.txn = Txn{.kind = ReqKind::Update,
+        e.txn = Txn{.kind = TxnKind::Update,
                     .requester = from,
                     .fetchInv = true,
                     .dirtyMask = req.dirtyMask,
                     .words = req.words};
-        e.curFlags |= AttribRecord::flagFetch;
+        e.svc.fetch = true;
         sendFetch(block, e.owner, true);
         return;
     }
@@ -614,16 +570,15 @@ DirectoryController::processUpdate(Addr block, Entry &e,
                      e.lastUpdater != from;
     if (may_probe) {
         ++statProbes;
-        e.txn = Txn{.kind = ReqKind::Update,
+        e.txn = Txn{.kind = TxnKind::Update,
                     .requester = from,
                     .pendingAcks = present.count(),
                     .dirtyMask = req.dirtyMask,
                     .words = req.words,
                     .probing = true};
-        e.curFanoutAt = fabric.eq().now();
-        e.curFanout = present.count();
+        e.svc.fanoutAt = fabric.eq().now();
         if (!e.sharers.exact(scfg))
-            e.curFlags |= AttribRecord::flagImprecise;
+            e.svc.imprecise = true;
         present.forEach([&](NodeId j) { sendMigProbe(block, j); });
         return;
     }
@@ -638,15 +593,14 @@ DirectoryController::processUpdate(Addr block, Entry &e,
         return;
     }
 
-    e.txn = Txn{.kind = ReqKind::Update,
+    e.txn = Txn{.kind = TxnKind::Update,
                 .requester = from,
                 .pendingAcks = targets.count(),
                 .dirtyMask = req.dirtyMask,
                 .words = req.words};
-    e.curFanoutAt = fabric.eq().now();
-    e.curFanout = targets.count();
+    e.svc.fanoutAt = fabric.eq().now();
     if (!e.sharers.exact(scfg))
-        e.curFlags |= AttribRecord::flagImprecise;
+        e.svc.imprecise = true;
     forwardUpdate(block, e, targets);
 }
 
@@ -672,7 +626,7 @@ DirectoryController::onUpdateAck(Addr block, NodeId from,
     if (invalidated)
         e.sharers.remove(scfg, from);
     if (--e.txn->pendingAcks == 0) {
-        e.curLastRespAt = fabric.eq().now();
+        e.svc.lastRespAt = fabric.eq().now();
         fabric.eq().scheduleIn(params.memAccessLatency, [this, block] {
             Entry &entry = entries[block];
             entry.lastUpdater = entry.txn->requester;
@@ -702,7 +656,7 @@ DirectoryController::onMigProbeResp(Addr block, NodeId from,
         return;
     // Last probe response; overwritten by the final update ack if a
     // forwarding round follows.
-    e.curLastRespAt = fabric.eq().now();
+    e.svc.lastRespAt = fabric.eq().now();
 
     // All probe responses are in.
     if (txn.allGaveUp && params.protocol.migratory) {

@@ -136,31 +136,20 @@ class DirectoryController
     }
 
   private:
-    enum class ReqKind
-    {
-        Read,
-        Write,
-        Upgrade,
-        WriteBack,
-        Update,
-    };
-
     struct Queued
     {
-        ReqKind kind;
+        TxnKind kind;  //!< Read and Prefetch share the read path
         NodeId from;
-        bool prefetch = false;
         std::uint32_t dirtyMask = 0;
         std::vector<std::uint32_t> words;
-        Tick enqueuedAt = 0;  //!< attribution stamp (set in enqueue)
+        Tick enqueuedAt = 0;  //!< set in enqueue
     };
 
     /** In-flight transaction state for one block. */
     struct Txn
     {
-        ReqKind kind;
+        TxnKind kind;
         NodeId requester;
-        bool prefetch = false;
         bool fetchInv = false;     //!< owner must invalidate, not downgrade
         bool evicting = false;     //!< pointer eviction mid-read
         unsigned pendingAcks = 0;
@@ -185,20 +174,10 @@ class DirectoryController
         std::optional<Txn> txn;
         std::deque<Queued> queue;
 
-        // Attribution milestones of the request currently in service
-        // (src/obs/attrib.hh). Inert plain stores on state the home
-        // already owns — written regardless of whether a sink is
-        // installed, read only in finish() behind the sink's null
-        // check, and never consulted by any protocol decision.
-        Tick curEnqueuedAt = 0;   //!< entered the per-block queue
-        Tick curDequeuedAt = 0;   //!< left the queue (service start)
-        Tick curActionAt = 0;     //!< directory state read, acting
-        Tick curFanoutAt = 0;     //!< inval/probe fan-out sent (0 none)
-        Tick curLastRespAt = 0;   //!< last fan-out response (0 none)
-        NodeId curFrom = invalidNode;
-        ReqKind curKind = ReqKind::Read;
-        std::uint8_t curFlags = 0;    //!< AttribRecord flag bits
-        std::uint32_t curFanout = 0;  //!< fan-out width
+        //! Milestones of the request in service: inert stores, read
+        //! only when the service ends and a probe is installed, and
+        //! never consulted by any protocol decision.
+        DirService svc;
     };
 
     /** Enqueue a request and start service if the block is idle. */

@@ -13,6 +13,7 @@
 #define CPX_PROTO_FABRIC_HH
 
 #include "mem/block.hh"
+#include "obs/probe.hh"
 #include "proto/params.hh"
 #include "sim/event_queue.hh"
 #include "sim/resource.hh"
@@ -26,8 +27,6 @@ class SlcController;
 class DirectoryController;
 class LockManager;
 class BackingStore;
-class TraceSink;
-class AttribSink;
 
 /**
  * The slice of the processor model the protocol layer calls back
@@ -44,38 +43,6 @@ class ProcessorIface
 
     /** The lock manager acknowledged our release (SC stalls on it). */
     virtual void onReleaseAck(Addr lock_addr) = 0;
-};
-
-/**
- * Passive hook into protocol activity, used by the stress-testing
- * subsystem (src/check): the CoherenceChecker implements this to
- * validate protocol invariants after every state transition. No
- * observer is installed in normal runs; the agents guard each
- * notification with a single inline null check, so the hooks are
- * free when unused.
- */
-class ProtocolObserver
-{
-  public:
-    virtual ~ProtocolObserver() = default;
-
-    /** The directory entry for @p block changed at its home. */
-    virtual void onDirectoryTransition(NodeId home, Addr block) = 0;
-
-    /** The SLC line state or contents for @p block changed. */
-    virtual void onSlcTransition(NodeId node, Addr block) = 0;
-
-    /** A protocol message from @p src was delivered at @p dst. */
-    virtual void onMessageDelivered(NodeId src, NodeId dst) = 0;
-
-    /**
-     * The end-of-run functional flush is about to push cached dirty
-     * data (including buffered write-cache words) into the backing
-     * store. This is the last moment at which cached copies and
-     * memory are comparable; afterwards data-value invariants no
-     * longer hold by construction.
-     */
-    virtual void onBeforeFunctionalFlush() {}
 };
 
 class Fabric
@@ -97,36 +64,27 @@ class Fabric
     /** The node-local split-transaction bus. */
     virtual Resource &bus(NodeId node) = 0;
 
-    /** The installed protocol observer, or nullptr (the usual case). */
-    ProtocolObserver *observer() const { return observer_; }
-
-    /** Install (or, with nullptr, remove) a protocol observer. */
-    void setObserver(ProtocolObserver *obs) { observer_ = obs; }
-
     /**
-     * The installed flight recorder, or nullptr (the usual case).
-     * Agents record through CPX_RECORD (src/obs/trace.hh), which
-     * reduces to this one null check when tracing is off.
+     * The probe stream, or nullptr while no probe is installed (the
+     * usual case). Agents emit milestones through CPX_PROBE
+     * (src/obs/probe.hh), which reduces to this one null check.
      */
-    TraceSink *tracer() const { return tracer_; }
+    ProbeStream *probes() { return probes_; }
 
-    /** Install (or, with nullptr, remove) a flight recorder. */
-    void setTracer(TraceSink *sink) { tracer_ = sink; }
+    /** Append @p probe: it sees every milestone after the probes
+     *  installed before it. */
+    void
+    installProbe(Probe *probe)
+    {
+        probes_ = stream.install(probe, params().numProcs);
+    }
 
-    /**
-     * The installed attribution sink, or nullptr (the usual case).
-     * Agents deposit critical-path records (src/obs/attrib.hh)
-     * behind this one null check, exactly like the tracer.
-     */
-    AttribSink *attrib() const { return attrib_; }
-
-    /** Install (or, with nullptr, remove) an attribution sink. */
-    void setAttrib(AttribSink *sink) { attrib_ = sink; }
+    /** Uninstall @p probe (no-op if it is not installed). */
+    void removeProbe(const Probe *probe) { probes_ = stream.remove(probe); }
 
   private:
-    ProtocolObserver *observer_ = nullptr;
-    TraceSink *tracer_ = nullptr;
-    AttribSink *attrib_ = nullptr;
+    ProbeStream stream;
+    ProbeStream *probes_ = nullptr;
 };
 
 } // namespace cpx

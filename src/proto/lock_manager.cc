@@ -1,7 +1,5 @@
 #include "proto/lock_manager.hh"
 
-#include "obs/attrib.hh"
-#include "obs/trace.hh"
 #include "proto/messages.hh"
 #include "proto/messenger.hh"
 #include "sim/logging.hh"
@@ -44,8 +42,7 @@ LockManager::onRelease(Addr lock_addr, NodeId from)
         if (!ls.held || ls.holder != from)
             panic("release of lock %llx by non-holder node %u",
                   static_cast<unsigned long long>(lock_addr), from);
-        CPX_RECORD(fabric.tracer(), self, TraceKind::LockRelease,
-                   lock_addr, 0, from);
+        CPX_PROBE(fabric, onLockRelease, self, lock_addr, from);
 
         // Acknowledge the releaser (the SC processor stalls on this).
         sendProtocolMessage(fabric, self, from, msg_bytes::control,
@@ -69,18 +66,8 @@ LockManager::onRelease(Addr lock_addr, NodeId from)
 void
 LockManager::grant(Addr lock_addr, NodeId to, Tick arrived_at)
 {
-    CPX_RECORD(fabric.tracer(), self, TraceKind::LockAcquire,
-               lock_addr, 0, to);
-    if (AttribSink *attrib = fabric.attrib()) {
-        AttribRecord rec;
-        rec.kind = AttribRecord::Kind::LockGrant;
-        rec.node = static_cast<std::uint16_t>(self);
-        rec.aux = to;
-        rec.addr = lock_addr;
-        rec.t0 = arrived_at;
-        rec.t1 = fabric.eq().now();
-        attrib->record(self, rec);
-    }
+    CPX_PROBE(fabric, onLockGrant, self, lock_addr, to, arrived_at,
+              fabric.eq().now());
     sendProtocolMessage(fabric, self, to, msg_bytes::control,
                         [this, lock_addr, to] {
         fabric.proc(to).onLockGrant(lock_addr);

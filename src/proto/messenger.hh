@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "net/network.hh"
-#include "obs/trace.hh"
 #include "proto/fabric.hh"
 
 namespace cpx
@@ -41,7 +40,7 @@ struct MsgChain
     unsigned payload;
     Tick busXfer;
     MsgClass klass;
-    std::uint64_t traceId;  //!< flight-recorder send/recv correlation
+    std::uint64_t msgId;  //!< probe send/recv correlation (0 unprobed)
     EventQueue::Callback atDst;
 };
 
@@ -65,16 +64,15 @@ sendProtocolMessage(Fabric &fabric, NodeId src, NodeId dst,
     EventQueue &eq = fabric.eq();
     const Tick bus_xfer = fabric.params().busTransferLatency;
 
-    std::uint64_t trace_id = 0;
-    if (TraceSink *t = fabric.tracer()) {
-        trace_id = t->nextMsgId(src);
-        t->record(src, TraceKind::MsgSend, payload, trace_id,
-                  traceMsgAux(dst, static_cast<unsigned>(klass)));
+    std::uint64_t msg_id = 0;
+    if (ProbeStream *ps = fabric.probes()) {
+        msg_id = ps->nextMsgId(src);
+        ps->emit(&Probe::onMsgSend, src, dst, payload, klass, msg_id);
     }
 
     auto chain = std::make_unique<detail::MsgChain>(
         detail::MsgChain{fabric, src, dst, payload, bus_xfer, klass,
-                         trace_id, std::move(at_dst)});
+                         msg_id, std::move(at_dst)});
 
     Tick start = fabric.bus(src).reserve(eq.now(), bus_xfer);
     eq.schedule(start + bus_xfer, [c = std::move(chain)]() mutable {
@@ -82,12 +80,8 @@ sendProtocolMessage(Fabric &fabric, NodeId src, NodeId dst,
         m.fabric.net().send(m.src, m.dst, m.payload,
                             [c = std::move(c)]() mutable {
             detail::MsgChain &m = *c;
-            if (ProtocolObserver *obs = m.fabric.observer())
-                obs->onMessageDelivered(m.src, m.dst);
-            CPX_RECORD(m.fabric.tracer(), m.dst, TraceKind::MsgRecv,
-                       m.payload, m.traceId,
-                       traceMsgAux(m.src,
-                                   static_cast<unsigned>(m.klass)));
+            CPX_PROBE(m.fabric, onMsgRecv, m.src, m.dst, m.payload,
+                      m.klass, m.msgId);
             Tick s = m.fabric.bus(m.dst).reserve(m.fabric.eq().now(),
                                                  m.busXfer);
             m.fabric.eq().schedule(s + m.busXfer, std::move(m.atDst));

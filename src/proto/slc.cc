@@ -1,9 +1,7 @@
 #include "proto/slc.hh"
 
 #include "mem/backing_store.hh"
-#include "obs/attrib.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "proto/directory.hh"
 #include "proto/messenger.hh"
 #include "sim/logging.hh"
@@ -45,16 +43,21 @@ SlcController::SlcController(NodeId node, Fabric &f, Flc &flc_ref)
 // --------------------------------------------------------------------------
 
 void
-SlcController::notifyObserver(Addr block)
+SlcController::notifyProbes(Addr block)
 {
-    if (ProtocolObserver *obs = fabric.observer())
-        obs->onSlcTransition(self, block);
-    if (TraceSink *t = fabric.tracer()) {
+    CPX_PROBE(fabric, onSlcState, self, block, [this, block] {
         const Line *line = tags.find(block);
-        std::uint64_t state =
-            !line ? 0 : line->state == LineState::Dirty ? 2 : 1;
-        t->record(self, TraceKind::SlcState, block, state);
-    }
+        return !line ? SlcLineState::Invalid
+               : line->state == LineState::Dirty ? SlcLineState::Dirty
+                                                 : SlcLineState::Shared;
+    }());
+}
+
+void
+SlcController::dropPrefetch(Addr block)
+{
+    ++statPrefetchDrops;
+    CPX_PROBE(fabric, onPrefetchDrop, self, block);
 }
 
 void
@@ -89,23 +92,8 @@ SlcController::releaseSlwb()
 }
 
 SlcController::Txn &
-SlcController::createTxn(Addr block, Txn::Kind kind)
+SlcController::createTxn(Addr block, TxnKind kind)
 {
-    // Txn::Kind is recorded verbatim in TxnStart/TxnEnd aux fields;
-    // the two enums must stay in lockstep.
-    static_assert(
-        static_cast<unsigned>(Txn::Kind::Read) ==
-                static_cast<unsigned>(TraceTxn::Read) &&
-            static_cast<unsigned>(Txn::Kind::Prefetch) ==
-                static_cast<unsigned>(TraceTxn::Prefetch) &&
-            static_cast<unsigned>(Txn::Kind::WriteMiss) ==
-                static_cast<unsigned>(TraceTxn::WriteMiss) &&
-            static_cast<unsigned>(Txn::Kind::Upgrade) ==
-                static_cast<unsigned>(TraceTxn::Upgrade) &&
-            static_cast<unsigned>(Txn::Kind::Update) ==
-                static_cast<unsigned>(TraceTxn::Update),
-        "Txn::Kind and TraceTxn diverged");
-
     auto [it, inserted] = txns.try_emplace(block);
     if (!inserted)
         panic("duplicate transaction for block %llx at node %u",
@@ -113,8 +101,7 @@ SlcController::createTxn(Addr block, Txn::Kind kind)
     it->second.kind = kind;
     it->second.start = fabric.eq().now();
     ++slwbUsed;
-    CPX_RECORD(fabric.tracer(), self, TraceKind::TxnStart, block, 0,
-               static_cast<std::uint32_t>(kind));
+    CPX_PROBE(fabric, onTxnStart, self, block, kind);
     return it->second;
 }
 
@@ -144,7 +131,7 @@ SlcController::removeLine(Addr block, RemovalCause cause)
     classifier.noteRemoval(block, cause);
     tags.erase(block);
     flc.invalidate(block);
-    notifyObserver(block);
+    notifyProbes(block);
 }
 
 void
@@ -183,20 +170,10 @@ SlcController::maybeFinishRelease()
 std::vector<SlcController::TxnDump>
 SlcController::pendingTransactionDump() const
 {
-    auto kind_name = [](Txn::Kind k) {
-        switch (k) {
-          case Txn::Kind::Read:      return "Read";
-          case Txn::Kind::Prefetch:  return "Prefetch";
-          case Txn::Kind::WriteMiss: return "WriteMiss";
-          case Txn::Kind::Upgrade:   return "Upgrade";
-          case Txn::Kind::Update:    return "Update";
-        }
-        return "?";
-    };
     std::vector<TxnDump> dumps;
     dumps.reserve(txns.size());
     for (const auto &[block, txn] : txns)
-        dumps.push_back({block, kind_name(txn.kind), txn.start});
+        dumps.push_back({block, txnKindName(txn.kind), txn.start});
     return dumps;
 }
 
@@ -301,7 +278,7 @@ SlcController::readAccess(Addr a, Callback done)
         auto it = txns.find(block);
         if (it != txns.end()) {
             Txn &txn = it->second;
-            if (txn.kind == Txn::Kind::Update) {
+            if (txn.kind == TxnKind::Update) {
                 // An outstanding combined-write flush blocks a new
                 // fetch of the same block; retry once it completes.
                 txn.continuations.push_back(
@@ -313,7 +290,7 @@ SlcController::readAccess(Addr a, Callback done)
             // Merge with the in-flight fetch. A demand read merging
             // with a prefetch counts as a useful prefetch [3] and as
             // a (latency-reduced) miss in the statistics.
-            if (txn.kind == Txn::Kind::Prefetch && !txn.demandJoined) {
+            if (txn.kind == TxnKind::Prefetch && !txn.demandJoined) {
                 txn.demandJoined = true;
                 txn.start = fabric.eq().now();
                 prefetcher.notifyUseful();
@@ -337,7 +314,7 @@ SlcController::readAccess(Addr a, Callback done)
         if (recentMisses.size() > recentMissWindow)
             recentMisses.pop_front();
 
-        Txn &txn = createTxn(block, Txn::Kind::Read);
+        Txn &txn = createTxn(block, TxnKind::Read);
         txn.continuations.push_back(std::move(done));
         NodeId from = self;
         sendToHome(block, msg_bytes::control,
@@ -366,15 +343,12 @@ SlcController::issuePrefetches(Addr demand_block)
             continue;
         if (slwbUsed >= params.slwbEntries) {
             // No SLWB room: drop this and all remaining prefetches.
-            ++statPrefetchDrops;
-            CPX_RECORD(fabric.tracer(), self, TraceKind::PrefetchDrop,
-                       pblock);
+            dropPrefetch(pblock);
             break;
         }
-        createTxn(pblock, Txn::Kind::Prefetch);
+        createTxn(pblock, TxnKind::Prefetch);
         prefetcher.notifyIssued();
-        CPX_RECORD(fabric.tracer(), self, TraceKind::PrefetchIssue,
-                   pblock);
+        CPX_PROBE(fabric, onPrefetchIssue, self, pblock);
         NodeId from = self;
         sendToHome(pblock, msg_bytes::control,
                    [pblock, from](DirectoryController &dir) {
@@ -443,7 +417,7 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
             apply_to_line(line);
             line->locallyModified = true;
             line->compCounter = params.competitiveThreshold;
-            notifyObserver(block);
+            notifyProbes(block);
             done();
             return;
         }
@@ -460,11 +434,8 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
                 // action until the block is victimized or released.
                 for (unsigned i = 0; i < nwords; ++i) {
                     Addr wa = a + Addr(i) * wordBytes;
-                    CPX_RECORD(fabric.tracer(), self,
-                               writeCache.contains(wa)
-                                   ? TraceKind::WcCombine
-                                   : TraceKind::WcInsert,
-                               block);
+                    CPX_PROBE(fabric, onWcWrite, self, block,
+                              writeCache.contains(wa));
                     WriteCacheFlush victim;
                     if (writeCache.writeWord(wa, word_value(i),
                                              victim)) {
@@ -484,7 +455,7 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
                 }
                 startUpdateFlush(rec);
             }
-            notifyObserver(block);
+            notifyProbes(block);
             done();
             return;
         }
@@ -493,13 +464,13 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
         if (it != txns.end()) {
             Txn &txn = it->second;
             switch (txn.kind) {
-              case Txn::Kind::Read:
-              case Txn::Kind::Prefetch:
+              case TxnKind::Read:
+              case TxnKind::Prefetch:
                 if (!txn.wantsWrite) {
                     txn.wantsWrite = true;
                     ++writeClassOutstanding;
                 }
-                if (txn.kind == Txn::Kind::Prefetch &&
+                if (txn.kind == TxnKind::Prefetch &&
                     !txn.demandJoined) {
                     txn.demandJoined = true;
                     prefetcher.notifyUseful();
@@ -510,8 +481,8 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
                 else
                     done();
                 return;
-              case Txn::Kind::WriteMiss:
-              case Txn::Kind::Upgrade:
+              case TxnKind::WriteMiss:
+              case TxnKind::Upgrade:
                 record_pending(txn);
                 if (line)
                     apply_to_line(line);
@@ -520,8 +491,10 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
                 else
                     done();
                 return;
-              case Txn::Kind::Update:
-                panic("update transaction outside CW mode");
+              case TxnKind::Update:
+              case TxnKind::WriteBack:  // home side only, never here
+                panic("%s transaction outside CW mode",
+                      txnKindName(txn.kind));
             }
         }
 
@@ -547,7 +520,7 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
             apply_to_line(line);
             line->locallyModified = true;
             ++writeClassOutstanding;
-            Txn &txn = createTxn(block, Txn::Kind::Upgrade);
+            Txn &txn = createTxn(block, TxnKind::Upgrade);
             record_pending(txn);
             if (sc)
                 txn.writeWaiters.push_back(std::move(done));
@@ -565,7 +538,7 @@ SlcController::handleWrite(Addr a, std::uint64_t value, unsigned bytes,
         MissKind k = classifier.classify(block);
         ++writeMissKind[static_cast<unsigned>(k)];
         ++writeClassOutstanding;
-        Txn &txn = createTxn(block, Txn::Kind::WriteMiss);
+        Txn &txn = createTxn(block, TxnKind::WriteMiss);
         record_pending(txn);
         if (sc)
             txn.writeWaiters.push_back(std::move(done));
@@ -604,9 +577,8 @@ SlcController::startUpdateFlush(const WriteCacheFlush &rec)
             [this, block] { retryPendingFlush(block); });
         return;
     }
-    createTxn(rec.blockAddr, Txn::Kind::Update);
-    CPX_RECORD(fabric.tracer(), self, TraceKind::WcFlush,
-               rec.blockAddr, rec.dirtyMask);
+    createTxn(rec.blockAddr, TxnKind::Update);
+    CPX_PROBE(fabric, onWcFlush, self, rec.blockAddr, rec.dirtyMask);
     NodeId from = self;
     std::uint32_t mask = rec.dirtyMask;
     std::vector<std::uint32_t> words = rec.words;
@@ -649,9 +621,7 @@ SlcController::softwarePrefetch(Addr a, bool exclusive)
             (writeCache.contains(a) || pendingFlushes.count(block)))
             return;
         if (slwbUsed >= params.slwbEntries) {
-            ++statPrefetchDrops;
-            CPX_RECORD(fabric.tracer(), self, TraceKind::PrefetchDrop,
-                       block);
+            dropPrefetch(block);
             return;  // prefetches are droppable
         }
 
@@ -659,7 +629,7 @@ SlcController::softwarePrefetch(Addr a, bool exclusive)
         // line bit with the hardware engine (a demand hit will also
         // credit the hardware usefulness counter — harmless unless
         // both schemes run together, which §6 argues against).
-        createTxn(block, Txn::Kind::Prefetch);
+        createTxn(block, TxnKind::Prefetch);
         ++statSwPrefetches;
         NodeId from = self;
         if (exclusive) {
@@ -703,11 +673,11 @@ SlcController::installLine(Addr block, const Txn &txn, ReplyKind kind)
     line->state = exclusive ? LineState::Dirty : LineState::Shared;
     line->compCounter = params.competitiveThreshold;
     line->prefetched =
-        txn.kind == Txn::Kind::Prefetch && !txn.demandJoined;
+        txn.kind == TxnKind::Prefetch && !txn.demandJoined;
     // A migratory grant (exclusive data for a read) arrives
     // unmodified; a write-miss grant is modified by definition.
-    line->locallyModified = txn.kind == Txn::Kind::WriteMiss ||
-                            txn.kind == Txn::Kind::Upgrade;
+    line->locallyModified = txn.kind == TxnKind::WriteMiss ||
+                            txn.kind == TxnKind::Upgrade;
 
     // Fill the data from memory (the home replied after bringing
     // memory up to date), then merge any writes that arrived while
@@ -783,31 +753,12 @@ SlcController::onReply(Addr block, ReplyKind kind)
         // are observation-only — neither perturbs event timing, so
         // simulated stats stay bit-identical with tracing off or on.
         const Tick lat = fabric.eq().now() - txn.start;
-        CPX_RECORD(fabric.tracer(), self, TraceKind::TxnEnd, block,
-                   lat, static_cast<std::uint32_t>(txn.kind));
-        if (AttribSink *attrib = fabric.attrib()) {
-            // Txn::Kind codes double as AttribClass rows (the
-            // WriteBack row is home-only and has no Txn::Kind).
-            static_assert(
-                static_cast<unsigned>(Txn::Kind::Read) ==
-                        static_cast<unsigned>(AttribClass::Read) &&
-                    static_cast<unsigned>(Txn::Kind::Update) ==
-                        static_cast<unsigned>(AttribClass::Update),
-                "Txn::Kind and AttribClass diverged");
-            AttribRecord rec;
-            rec.kind = AttribRecord::Kind::TxnDone;
-            rec.node = static_cast<std::uint16_t>(self);
-            rec.aux = static_cast<std::uint32_t>(txn.kind);
-            rec.addr = block;
-            rec.t0 = txn.start;
-            rec.t1 = delivered;
-            rec.t2 = fabric.eq().now();
-            attrib->record(self, rec);
-        }
-        if (txn.kind == Txn::Kind::WriteMiss ||
-            txn.kind == Txn::Kind::Upgrade) {
+        CPX_PROBE(fabric, onTxnEnd, self, block, txn.kind, txn.start,
+                  delivered, fabric.eq().now());
+        if (txn.kind == TxnKind::WriteMiss ||
+            txn.kind == TxnKind::Upgrade) {
             latOwnership.sample(lat);
-        } else if (txn.kind == Txn::Kind::Prefetch &&
+        } else if (txn.kind == TxnKind::Prefetch &&
                    !txn.demandJoined) {
             latPrefetchFill.sample(lat);
         }
@@ -816,18 +767,17 @@ SlcController::onReply(Addr block, ReplyKind kind)
           case ReplyKind::DataShared:
           case ReplyKind::DataExclusive: {
             Line *line = installLine(block, txn, kind);
-            bool demand = txn.kind == Txn::Kind::Read ||
-                          (txn.kind == Txn::Kind::Prefetch &&
+            bool demand = txn.kind == TxnKind::Read ||
+                          (txn.kind == TxnKind::Prefetch &&
                            txn.demandJoined);
             if (demand) {
                 missLatency.sample(static_cast<double>(lat));
                 latReadMiss.sample(lat);
             }
-            if (txn.kind == Txn::Kind::Prefetch && !txn.demandJoined)
-                CPX_RECORD(fabric.tracer(), self,
-                           TraceKind::PrefetchFill, block, lat);
-            if (txn.kind == Txn::Kind::WriteMiss ||
-                txn.kind == Txn::Kind::Upgrade) {
+            if (txn.kind == TxnKind::Prefetch && !txn.demandJoined)
+                CPX_PROBE(fabric, onPrefetchFill, self, block, lat);
+            if (txn.kind == TxnKind::WriteMiss ||
+                txn.kind == TxnKind::Upgrade) {
                 for (Callback &cb : txn.writeWaiters)
                     cb();
             } else if (txn.wantsWrite) {
@@ -873,7 +823,7 @@ SlcController::onReply(Addr block, ReplyKind kind)
             break;
         }
 
-        notifyObserver(block);
+        notifyProbes(block);
         releaseSlwb();
         if (isWriteClass(txn.kind))
             --writeClassOutstanding;
@@ -899,8 +849,8 @@ SlcController::startPreCountedUpgrade(
             txn.pendingWrites.push_back(pw);
         for (Callback &cb : waiters)
             txn.writeWaiters.push_back(std::move(cb));
-        if (txn.kind == Txn::Kind::Read ||
-            txn.kind == Txn::Kind::Prefetch) {
+        if (txn.kind == TxnKind::Read ||
+            txn.kind == TxnKind::Prefetch) {
             if (txn.wantsWrite) {
                 // Already counted once: drop our duplicate count.
                 --writeClassOutstanding;
@@ -934,7 +884,7 @@ SlcController::startPreCountedUpgrade(
         return;
     }
 
-    Txn &txn = createTxn(block, Txn::Kind::Upgrade);
+    Txn &txn = createTxn(block, TxnKind::Upgrade);
     txn.writeWaiters = std::move(waiters);
     txn.pendingWrites = std::move(pending_writes);
     NodeId from = self;
@@ -985,7 +935,7 @@ SlcController::onFetch(Addr block, NodeId home, bool invalidate)
             } else {
                 line->state = LineState::Shared;
                 line->locallyModified = false;
-                notifyObserver(block);
+                notifyProbes(block);
             }
         }
         NodeId from = self;
@@ -1030,7 +980,7 @@ SlcController::onUpdate(Addr block, NodeId home, std::uint32_t mask,
                 // The write-through FLC is not updated remotely:
                 // drop its copy so the next read refetches from SLC.
                 flc.invalidate(block);
-                notifyObserver(block);
+                notifyProbes(block);
             }
         }
         NodeId from = self;

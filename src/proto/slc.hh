@@ -266,16 +266,7 @@ class SlcController
     /** One SLWB-tracked outstanding transaction. */
     struct Txn
     {
-        enum class Kind
-        {
-            Read,       //!< demand read miss
-            Prefetch,   //!< non-binding prefetch
-            WriteMiss,  //!< read-exclusive
-            Upgrade,    //!< ownership only
-            Update,     //!< CW combined-write flush
-        };
-
-        Kind kind = Kind::Read;
+        TxnKind kind = TxnKind::Read;
         Tick start = 0;
         bool demandJoined = false;  //!< a demand read merged in
         bool wantsWrite = false;    //!< a write merged into a read
@@ -288,24 +279,27 @@ class SlcController
     };
 
     static bool
-    isWriteClass(Txn::Kind k)
+    isWriteClass(TxnKind k)
     {
-        return k == Txn::Kind::WriteMiss || k == Txn::Kind::Upgrade ||
-               k == Txn::Kind::Update;
+        return k == TxnKind::WriteMiss || k == TxnKind::Upgrade ||
+               k == TxnKind::Update;
     }
 
     /** Reserve the SLC port and run @p fn when the access completes. */
     void withPort(Callback fn);
 
-    /** Tell the installed protocol observer, if any, that the line
-     *  state or contents for @p block changed. */
-    void notifyObserver(Addr block);
+    /** Emit the slc-state milestone: the line state or contents for
+     *  @p block changed. */
+    void notifyProbes(Addr block);
+
+    /** Count and emit a prefetch dropped for want of an SLWB entry. */
+    void dropPrefetch(Addr block);
 
     /** Run @p fn with an SLWB entry held (may wait for a free one). */
     void acquireSlwb(Callback fn);
     void releaseSlwb();
 
-    Txn &createTxn(Addr block, Txn::Kind kind);
+    Txn &createTxn(Addr block, TxnKind kind);
 
     void issuePrefetches(Addr demand_block);
     void startUpdateFlush(const WriteCacheFlush &rec);

@@ -117,6 +117,10 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Report normal operating status. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/** printf into a growing std::string; never truncates. */
+void append(std::string &out, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 } // namespace cpx
 
 #define CPX_TRACE(tag, ...)                                             \

@@ -1,41 +1,11 @@
 #include "sim/stats.hh"
 
-#include <cstdarg>
 #include <cstdio>
 
 #include "sim/logging.hh"
 
 namespace cpx
 {
-
-namespace
-{
-
-/** printf into a growing std::string; never truncates. */
-void
-append(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-append(std::string &out, const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    va_list copy;
-    va_copy(copy, args);
-    int needed = std::vsnprintf(nullptr, 0, fmt, copy);
-    va_end(copy);
-    if (needed > 0) {
-        std::size_t old = out.size();
-        out.resize(old + static_cast<std::size_t>(needed) + 1);
-        std::vsnprintf(&out[old], static_cast<std::size_t>(needed) + 1,
-                       fmt, args);
-        out.resize(old + static_cast<std::size_t>(needed));
-    }
-    va_end(args);
-}
-
-} // anonymous namespace
 
 double
 Histogram::percentile(double p) const

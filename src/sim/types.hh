@@ -40,17 +40,6 @@ constexpr NodeId invalidNode = std::numeric_limits<NodeId>::max();
  */
 constexpr unsigned maxNodes = 256;
 
-/**
- * Sentinel used when a NodeId is packed into a 16-bit trace field
- * (TraceRecord::aux peer halves, directory-state owner encoding).
- * Must stay above every real node id so 256-node traces cannot
- * alias it.
- */
-constexpr std::uint32_t tracePeerNone = 0xffffu;
-
-static_assert(maxNodes < tracePeerNone,
-              "node ids must fit below the packed-peer sentinel");
-
 /** Number of bytes in one simulated machine word. */
 constexpr unsigned wordBytes = 4;
 

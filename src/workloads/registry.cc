@@ -2,6 +2,7 @@
 
 #include "sim/logging.hh"
 #include "workloads/apps.hh"
+#include "workloads/trace.hh"
 
 namespace cpx
 {
@@ -74,6 +75,8 @@ makeWorkload(const std::string &name, double scale, std::uint64_t seed)
         return makeFalseSharing(scale);
     if (name == "stress")
         return makeStress(scale, seed);
+    if (name.rfind("trace:", 0) == 0)
+        return makeTraceFile(name.substr(6));
     fatal("unknown workload '%s'", name.c_str());
 }
 

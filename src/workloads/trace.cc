@@ -1,5 +1,6 @@
 #include "workloads/trace.hh"
 
+#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -76,11 +77,22 @@ TraceWorkload::TraceWorkload(const std::string &text,
                              std::size_t region_len)
     : regionLen(region_len)
 {
-    for (auto &[proc, ev] : parseTrace(text)) {
+    auto events = parseTrace(text);
+    auto touches_memory = [](const TraceEvent &ev) {
+        return ev.kind == TraceEvent::Kind::Read ||
+               ev.kind == TraceEvent::Kind::Write;
+    };
+    if (regionLen == 0) {
+        regionLen = wordBytes;
+        for (const auto &[proc, ev] : events)
+            if (touches_memory(ev))
+                regionLen = std::max<std::size_t>(regionLen,
+                                                  ev.addr + wordBytes);
+    }
+    for (auto &[proc, ev] : events) {
         if (proc >= perProc.size())
             perProc.resize(proc + 1);
-        if (ev.kind == TraceEvent::Kind::Read ||
-            ev.kind == TraceEvent::Kind::Write) {
+        if (touches_memory(ev)) {
             if (ev.addr + wordBytes > regionLen)
                 fatal("trace touches offset %llx beyond the %zu-byte "
                       "region",
@@ -92,6 +104,17 @@ TraceWorkload::TraceWorkload(const std::string &text,
             maxLockIndex = std::max(maxLockIndex, ev.lockIndex + 1);
         perProc[proc].push_back(ev);
     }
+}
+
+std::unique_ptr<Workload>
+makeTraceFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot read trace file '%s'", path.c_str());
+    std::ostringstream text;
+    text << in.rdbuf();
+    return std::make_unique<TraceWorkload>(text.str());
 }
 
 void

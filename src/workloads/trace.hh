@@ -14,8 +14,9 @@
  *   <proc> b                 global barrier
  *
  * Addresses are hex offsets into a trace-owned shared region; locks
- * are allocated by index on first use. A trailing checksum check
- * verifies that lock-protected read-modify-writes were not lost.
+ * are allocated by index on first use. verify() checks that every
+ * word written by exactly one processor holds its last written value.
+ * A trace file replays through makeWorkload("trace:PATH").
  *
  * This is the entry point for replaying references captured from a
  * real application (the paper's methodology is program-driven, but
@@ -25,6 +26,7 @@
 #ifndef CPX_WORKLOADS_TRACE_HH
 #define CPX_WORKLOADS_TRACE_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,19 +61,16 @@ class TraceWorkload : public Workload
   public:
     /**
      * @param text       the whole trace (see format above)
-     * @param region_len bytes of shared data addressed by the trace
+     * @param region_len bytes of shared data addressed by the trace;
+     *                   0 sizes it from the highest address touched
      */
-    TraceWorkload(const std::string &text, std::size_t region_len);
+    explicit TraceWorkload(const std::string &text,
+                           std::size_t region_len = 0);
 
     std::string name() const override { return "trace"; }
     void setup(System &sys) override;
     void parallel(Processor &p, unsigned id) override;
     bool verify(System &sys) override;
-
-    /** Events parsed for processor @p id (inspection). */
-    const std::vector<TraceEvent> &eventsFor(unsigned id) const {
-        return perProc.at(id);
-    }
 
     /** Base address of the trace's shared region after setup(). */
     Addr regionBase() const { return region; }
@@ -89,6 +88,9 @@ class TraceWorkload : public Workload
 /** Parse a trace; fatal() on malformed input. */
 std::vector<std::pair<unsigned, TraceEvent>>
 parseTrace(const std::string &text);
+
+/** Replay the trace file at @p path; fatal() if it cannot be read. */
+std::unique_ptr<Workload> makeTraceFile(const std::string &path);
 
 } // namespace cpx
 

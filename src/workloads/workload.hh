@@ -65,8 +65,8 @@ WorkloadRun runWorkload(System &sys, Workload &w, Tick limit = maxTick,
  * "water", "lu", "ocean" (the five applications of §4), the
  * extension application "fft", the synthetic kernels "migratory",
  * "producer_consumer", "readonly", "false_sharing", and the random
- * protocol stress tester "stress". (Trace replay is separate: see
- * workloads/trace.hh.)
+ * protocol stress tester "stress", and "trace:PATH", which replays
+ * the trace file at PATH (workloads/trace.hh; scale and seed unused).
  *
  * @param scale linear problem-size multiplier (1.0 = the harness
  *              default sizes; tests use smaller values)

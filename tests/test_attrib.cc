@@ -142,14 +142,14 @@ TEST(AttribInvariants, SegmentSumNeverExceedsLatency)
     ASSERT_TRUE(ar.enabled);
 
     bool any = false;
-    for (unsigned c = 0; c < numAttribClasses; ++c) {
+    for (unsigned c = 0; c < numTxnKinds; ++c) {
         const AttribSegments &row = ar.classes[c];
         if (!row.count)
             continue;
         any = true;
-        EXPECT_LE(row.segmentSum(), row.latency)
-            << attribClassName(c);
-        EXPECT_GT(row.latency, 0u) << attribClassName(c);
+        const char *name = txnKindName(static_cast<TxnKind>(c));
+        EXPECT_LE(row.segmentSum(), row.latency) << name;
+        EXPECT_GT(row.latency, 0u) << name;
     }
     EXPECT_TRUE(any);
 
@@ -213,7 +213,7 @@ TEST(AttribJoin, TelescopesOneReadExactly)
     EXPECT_EQ(ar.matchedTxns, 1u);
     EXPECT_EQ(ar.unmatchedDir, 0u);
     const AttribSegments &row =
-        ar.classes[static_cast<unsigned>(AttribClass::Read)];
+        ar.classes[static_cast<unsigned>(TxnKind::Read)];
     EXPECT_EQ(row.count, 1u);
     EXPECT_EQ(row.latency, 25u);     // 30 - 5
     EXPECT_EQ(row.request, 5u);      // 10 - 5
@@ -245,7 +245,7 @@ TEST(AttribJoin, FanOutSegmentsAndPrecisionCounters)
         aggregateAttribution(sink, uniformHop);
 
     const AttribSegments &row =
-        ar.classes[static_cast<unsigned>(AttribClass::WriteMiss)];
+        ar.classes[static_cast<unsigned>(TxnKind::WriteMiss)];
     EXPECT_EQ(row.count, 1u);
     EXPECT_EQ(row.invalFanout, 4u);  // 18 - 14: max-over-sharers RTT
     EXPECT_EQ(row.ackCollect, 1u);   // 19 - 18
@@ -266,7 +266,7 @@ TEST(AttribJoin, WriteBackAggregatesHomeOnly)
     EXPECT_EQ(ar.matchedTxns, 0u);
     EXPECT_EQ(ar.unmatchedDir, 0u);  // write-backs are not "unmatched"
     const AttribSegments &row =
-        ar.classes[static_cast<unsigned>(AttribClass::WriteBack)];
+        ar.classes[static_cast<unsigned>(TxnKind::WriteBack)];
     EXPECT_EQ(row.count, 1u);
     EXPECT_EQ(row.latency, 10u);
     EXPECT_EQ(row.dirQueue, 4u);
@@ -405,10 +405,10 @@ TEST(AttribWire, AbsentBlockParsesAsDisabled)
 
 TEST(AttribCounterTracks, ExporterEmitsValidCounterEvents)
 {
-    EventQueue eq;  // installs the tick source record() stamps with
-    TraceSink sink(1, 8);
-    TraceSink *installed = &sink;
-    CPX_RECORD(installed, 0, TraceKind::MsgSend, 0x40, 1, 0);
+    System sys(makeParams(ProtocolConfig::basic()));
+    TraceSink sink(sys.params().numProcs, 8);
+    sys.setTracer(&sink);
+    CPX_PROBE(sys, onMsgSend, 0, 1, 0x40, MsgClass::Request, 1);
 
     MetricTimeSeries series;
     series.interval = 100;

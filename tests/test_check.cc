@@ -54,9 +54,11 @@ TEST(CoherenceChecker, ObserverUninstallsOnDestruction)
     System sys(smallParams());
     {
         CoherenceChecker checker(sys);
-        EXPECT_EQ(sys.observer(), &checker);
+        ASSERT_NE(sys.probes(), nullptr);
+        EXPECT_EQ(sys.probes()->installed(),
+                  std::vector<Probe *>{&checker});
     }
-    EXPECT_EQ(sys.observer(), nullptr);
+    EXPECT_EQ(sys.probes(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -94,27 +94,28 @@ TEST(TraceRing, ExactlyFullSnapshotsInOrder)
 }
 
 // ---------------------------------------------------------------------------
-// CPX_RECORD disabled path
+// CPX_PROBE disabled path
 // ---------------------------------------------------------------------------
 
 TEST(TraceMacro, DisabledPathEvaluatesNoArguments)
 {
-    TraceSink *no_sink = nullptr;
+    System sys(smallParams(2));
     unsigned evaluations = 0;
     auto expensive = [&evaluations]() -> Addr {
         ++evaluations;
         return 0x100;
     };
-    CPX_RECORD(no_sink, 0, TraceKind::MsgSend, expensive());
+    ASSERT_EQ(sys.probes(), nullptr);
+    CPX_PROBE(sys, onPrefetchIssue, 0, expensive());
     EXPECT_EQ(evaluations, 0u);
 }
 
 TEST(TraceMacro, RecordsThroughAnInstalledSink)
 {
-    EventQueue eq;
+    System sys(smallParams(2));
     TraceSink sink(2, 8);
-    TraceSink *installed = &sink;
-    CPX_RECORD(installed, 1, TraceKind::LockAcquire, 0x40, 0, 7);
+    sys.setTracer(&sink);
+    CPX_PROBE(sys, onLockGrant, 1, 0x40, 7, 0, 0);
     EXPECT_EQ(sink.recorded(), 1u);
     auto snap = sink.ring(1).snapshot();
     ASSERT_EQ(snap.size(), 1u);
@@ -248,8 +249,7 @@ TEST(TraceDeathTest, FailureHookDumpsTailsOnPanic)
         {
             EventQueue eq;
             TraceSink sink(1, 8);
-            sink.record(0, TraceKind::MsgSend, 64, 1,
-                        traceMsgAux(0, 0));
+            sink.onMsgSend(0, 0, 64, MsgClass::Request, 1);
             sink.installFailureDump();
             panic("deliberate test panic");
         },

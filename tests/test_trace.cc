@@ -93,6 +93,27 @@ TEST(TraceReplay, LockProtectedSharingAcrossProtocols)
     }
 }
 
+TEST(TraceReplay, ExampleTraceReplaysThroughMakeWorkload)
+{
+    MachineParams params = makeParams(ProtocolConfig::pcwm());
+    params.numProcs = 4;
+    System sys(params);
+    auto w = makeWorkload(std::string("trace:") + CPX_EXAMPLE_TRACE);
+    WorkloadRun run = runWorkload(sys, *w);
+    EXPECT_TRUE(run.verified);
+    EXPECT_TRUE(sys.quiescent());
+    // The region is sized from the highest address (0x11c): the
+    // table's last word must have landed inside it.
+    auto &trace = static_cast<TraceWorkload &>(*w);
+    EXPECT_EQ(sys.store().read32(trace.regionBase() + 0x11c), 17u);
+}
+
+TEST(TraceReplayDeath, RejectsUnreadableTraceFile)
+{
+    EXPECT_EXIT((void)makeWorkload("trace:no/such/file.trace"),
+                ::testing::ExitedWithCode(1), "cannot read trace");
+}
+
 TEST(TraceReplayDeath, RejectsOutOfRegionAccess)
 {
     EXPECT_EXIT(TraceWorkload("0 r 1000\n", 256),

@@ -39,6 +39,12 @@ appCases()
     return cases;
 }
 
+const char *
+consistencyTag(Consistency c)
+{
+    return c == Consistency::ReleaseConsistency ? "RC" : "SC";
+}
+
 std::string
 appCaseName(const ::testing::TestParamInfo<AppCase> &info)
 {
@@ -47,9 +53,18 @@ appCaseName(const ::testing::TestParamInfo<AppCase> &info)
         if (ch == '+')
             ch = '_';
     return std::string(info.param.workload) + "_" + proto + "_" +
-           (info.param.consistency == Consistency::ReleaseConsistency
-                ? "RC"
-                : "SC");
+           consistencyTag(info.param.consistency);
+}
+
+// The printed parameter becomes part of each case's ctest name. gtest's
+// default byte dump would include the workload string's address, which
+// address-space randomisation changes from run to run, so print the
+// fields instead.
+void
+PrintTo(const AppCase &c, std::ostream *os)
+{
+    *os << c.workload << ' ' << c.protocol.name() << ' '
+        << consistencyTag(c.consistency);
 }
 
 class Applications : public ::testing::TestWithParam<AppCase>

@@ -15,7 +15,9 @@
 # point), a sampled mesh sweep rendered to markdown through
 # cpxreport, and a stall-attribution sweep (--attrib) gated against
 # the same baseline — proving the causal profiler is observation-only
-# — then rendered to check both attribution report sections. The
+# — then rendered to check both attribution report sections, and one
+# stress run with the checker, flight recorder and attribution all
+# installed on the probe stream. The
 # ThreadSanitizer lane lives in the GitHub workflow
 # (.github/workflows/ci.yml, job "tsan"): CPX_SANITIZE=thread build,
 # ctest -L threads, and a chaos stress run at --sim-threads=4.
@@ -241,4 +243,25 @@ grep -q '"ph":"C"' "$trace_json" || {
     exit 1
 }
 stage_done "traced smoke run"
+
+# Probe stream: the coherence checker, the flight recorder and stall
+# attribution installed together on one seeded chaos stress run. The
+# checker must report 0 violations, the attribution matrix must print,
+# and the sampled trace must validate.
+echo "== all observers at once (cpxsim --check --attrib --trace-out)"
+probes_json="$root/$prefix/TRACE_probes.json"
+probes_log="$root/$prefix/PROBES.log"
+rm -f "$probes_json" "$probes_log"
+"$root/$prefix/tools/cpxsim" --workload=stress --protocol=P+CW+M \
+    --procs=8 --scale=0.2 --chaos --check --attrib \
+    --sample-interval=5000 --trace-out="$probes_json" >"$probes_log"
+"$root/$prefix/tools/cpxbench" --check-trace="$probes_json"
+for line in " 0 violations" "Causal stall attribution"; do
+    grep -q "$line" "$probes_log" || {
+        echo "combined-observer run lacks '$line':" >&2
+        cat "$probes_log" >&2
+        exit 1
+    }
+done
+stage_done "all observers at once"
 echo "== CI green (total $(($(date +%s) - ci_start))s)"

@@ -13,6 +13,8 @@
  *   --app=NAME          mp3d | cholesky | water | lu | ocean |
  *                       migratory | producer_consumer | readonly |
  *                       false_sharing | stress      (default mp3d)
+ *                       | trace:PATH (replay the trace file at PATH,
+ *                       format in src/workloads/trace.hh)
  *   --workload=NAME     alias for --app=
  *   --protocol=COMBO    BASIC, P, CW, M, P+CW, P+M, CW+M, P+CW+M
  *   --consistency=MODEL rc | sc                    (default rc)
