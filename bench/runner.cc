@@ -2095,6 +2095,24 @@ jsonEquals(const JsonValue &a, const JsonValue &b)
     return false;
 }
 
+/**
+ * Simulated pclocks per host second of a sweep document: its points'
+ * summed execTime over its hostSeconds, or 0 without host time.
+ * Unlike events/sec it does not move when the kernel dispatches fewer
+ * events per simulated pclock (wakeup elision, DESIGN.md §8.1), so
+ * against a baseline with the same simulated stats it tracks host
+ * speed alone.
+ */
+double
+pclocksPerSec(const JsonValue &doc)
+{
+    double pclocks = 0;
+    for (const JsonValue &p : doc.at("points").items)
+        pclocks += numberOr(p, "execTime", 0);
+    const double secs = numberOr(doc, "hostSeconds", 0);
+    return secs > 0 ? pclocks / secs : 0.0;
+}
+
 } // anonymous namespace
 
 bool
@@ -2160,17 +2178,15 @@ compareToBaseline(const std::string &path,
         return false;
     }
 
-    if (cur.has("eventsPerSec") && base.has("eventsPerSec")) {
-        double now = cur.at("eventsPerSec").number;
-        double then = base.at("eventsPerSec").number;
-        if (then > 0 && now < 0.8 * then) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "events/sec regressed >20%% vs baseline: "
-                          "%.3g now vs %.3g then",
-                          now, then);
-            warning = buf;
-        }
+    const double now = pclocksPerSec(cur);
+    const double then = pclocksPerSec(base);
+    if (then > 0 && now < 0.8 * then) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "simulated pclocks/sec regressed >20%% vs "
+                      "baseline: %.3g now vs %.3g then",
+                      now, then);
+        warning = buf;
     }
     return true;
 }
@@ -2190,49 +2206,56 @@ printPerfSummary(const std::string &path, std::string &error,
     std::printf("  points:       %zu\n", doc.at("points").items.size());
     std::printf("  simThreads:   %.0f\n", numberOr(doc, "simThreads", 1));
     double cur_secs = numberOr(doc, "hostSeconds", 0);
-    double cur_eps = numberOr(doc, "eventsPerSec", 0);
+    double cur_pps = pclocksPerSec(doc);
     std::printf("  hostSeconds:  %.2f\n", cur_secs);
     std::printf("  totalEvents:  %.0f\n", numberOr(doc, "totalEvents", 0));
-    std::printf("  eventsPerSec: %.3g\n", cur_eps);
+    std::printf("  eventsPerSec: %.3g\n", numberOr(doc, "eventsPerSec", 0));
+    std::printf("  pclocksPerSec: %.3g\n", cur_pps);
 
     if (!reference_path.empty()) {
         JsonValue ref;
         if (!loadSweepDoc(reference_path, ref, error))
             return false;
         double ref_secs = numberOr(ref, "hostSeconds", 0);
-        double ref_eps = numberOr(ref, "eventsPerSec", 0);
+        double ref_pps = pclocksPerSec(ref);
         std::printf("  speedup vs %s (simThreads=%.0f):\n",
                     reference_path.c_str(),
                     numberOr(ref, "simThreads", 1));
         std::printf("    wall-clock:  %.2fx (%.2fs vs %.2fs)\n",
                     cur_secs > 0 ? ref_secs / cur_secs : 0.0,
                     cur_secs, ref_secs);
-        std::printf("    events/sec:  %.2fx (%.3g vs %.3g)\n",
-                    ref_eps > 0 ? cur_eps / ref_eps : 0.0, cur_eps,
-                    ref_eps);
+        std::printf("    pclocks/sec: %.2fx (%.3g vs %.3g)\n",
+                    ref_pps > 0 ? cur_pps / ref_pps : 0.0, cur_pps,
+                    ref_pps);
     }
 
     // Per-tag aggregation, in first-appearance order.
+    struct TagTotals
+    {
+        double events = 0, pclocks = 0, secs = 0;
+    };
     std::vector<std::string> order;
-    std::map<std::string, std::pair<double, double>> by_tag;
+    std::map<std::string, TagTotals> by_tag;
     for (const JsonValue &p : doc.at("points").items) {
         if (p.kind != JsonValue::Kind::Object || !p.has("tag"))
             continue;
         const std::string &tag = p.at("tag").text;
         if (!by_tag.count(tag))
             order.push_back(tag);
-        auto &[events, secs] = by_tag[tag];
+        TagTotals &t = by_tag[tag];
         if (p.has("kernel"))
-            events += numberOr(p.at("kernel"), "eventsExecuted", 0);
-        secs += numberOr(p, "hostSeconds", 0);
+            t.events += numberOr(p.at("kernel"), "eventsExecuted", 0);
+        t.pclocks += numberOr(p, "execTime", 0);
+        t.secs += numberOr(p, "hostSeconds", 0);
     }
     if (!order.empty()) {
-        std::printf("  %-18s %14s %12s %14s\n", "tag", "events",
-                    "hostSec", "events/sec");
+        std::printf("  %-18s %14s %14s %12s %14s\n", "tag", "events",
+                    "pclocks", "hostSec", "pclocks/sec");
         for (const std::string &tag : order) {
-            auto [events, secs] = by_tag[tag];
-            std::printf("  %-18s %14.0f %12.3f %14.4g\n", tag.c_str(),
-                        events, secs, secs > 0 ? events / secs : 0.0);
+            const TagTotals &t = by_tag[tag];
+            std::printf("  %-18s %14.0f %14.0f %12.3f %14.4g\n",
+                        tag.c_str(), t.events, t.pclocks, t.secs,
+                        t.secs > 0 ? t.pclocks / t.secs : 0.0);
         }
     }
     return true;

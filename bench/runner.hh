@@ -423,9 +423,9 @@ bool validateTraceFile(const std::string &path, std::string &error);
  * nothing drifted, else fills @p error with EVERY divergent point
  * (one line each, naming the point and its config hash), so one
  * check-json run shows the full blast radius instead of the first
- * casualty. A >20% events/sec regression against the baseline's
- * recorded throughput fills @p warning but does not fail the
- * comparison.
+ * casualty. A >20% regression of simulated pclocks per host second
+ * (the points' summed execTime over hostSeconds) against the
+ * baseline's fills @p warning but does not fail the comparison.
  */
 bool compareToBaseline(const std::string &path,
                        const std::string &baseline_path,
@@ -436,10 +436,10 @@ bool compareToBaseline(const std::string &path,
  * totals plus a per-tag table) to stdout; used by CI to surface the
  * perf trajectory in the job summary. When @p reference_path is
  * non-empty, also print the parallel-kernel speedup of @p path over
- * the reference file (wall-clock and events/sec ratios, labelled
- * with each file's --sim-threads) — CI passes the --sim-threads=1
- * results file as the reference. Returns false and fills @p error
- * if either file is unreadable.
+ * the reference file (wall-clock and simulated pclocks/sec ratios,
+ * labelled with each file's --sim-threads) — CI passes the
+ * --sim-threads=1 results file as the reference. Returns false and
+ * fills @p error if either file is unreadable.
  */
 bool printPerfSummary(const std::string &path, std::string &error,
                       const std::string &reference_path = "");

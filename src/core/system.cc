@@ -214,6 +214,15 @@ System::totalEventsExecuted() const
     return total;
 }
 
+std::uint64_t
+System::totalWakeupsElided() const
+{
+    std::uint64_t total = eventQueue.elided();
+    for (const auto &q : nodeQueues)
+        total += q->elided();
+    return total;
+}
+
 std::size_t
 System::totalPending() const
 {

@@ -134,6 +134,14 @@ class System : public Fabric
     /** Events executed across all queues. */
     std::uint64_t totalEventsExecuted() const;
 
+    /**
+     * Processor wakeups elided across all queues (EventQueue::
+     * tryAdvance): each one is an event the machine would otherwise
+     * have dispatched, so this plus totalEventsExecuted() is the
+     * event count without elision.
+     */
+    std::uint64_t totalWakeupsElided() const;
+
     /** Live pending events across all queues. */
     std::size_t totalPending() const;
 

@@ -44,13 +44,19 @@ Processor::start(std::function<void()> body)
         done = true;
         finishTick_ = fabric.eq().now();
     });
-    fabric.eq().scheduleIn(0, [this] { fiber->resume(); });
+    fabric.eq().scheduleIn(0, [this] { resumeFiber(/*tail=*/true); });
 }
 
 void
 Processor::sleepUntil(Tick when)
 {
-    fabric.eq().schedule(when, [this] { fiber->resume(); });
+    // Wakeup elision (DESIGN.md §8.1): after a tail resume nothing is
+    // left to run on this node before the wake event would fire, if
+    // the queue has no other event due by then, so advance in place.
+    EventQueue &eq = fabric.eq();
+    if (tailResumed && eq.tryAdvance(when))
+        return;
+    eq.schedule(when, [this] { resumeFiber(/*tail=*/true); });
     Fiber::yield();
 }
 
@@ -61,8 +67,9 @@ Processor::suspend()
 }
 
 void
-Processor::resumeFiber()
+Processor::resumeFiber(bool tail)
 {
+    tailResumed = tail;
     fiber->resume();
 }
 
@@ -224,7 +231,7 @@ Processor::pumpFlwb()
                     flc.fill(a);
                 readDone = true;
                 if (waitingForRead)
-                    resumeFiber();
+                    resumeFiber(/*tail=*/true);
             });
         });
         return;

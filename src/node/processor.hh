@@ -142,7 +142,13 @@ class Processor : public ProcessorIface
 
     /** Suspend the fiber until resumeFiber() is called. */
     void suspend();
-    void resumeFiber();
+
+    /**
+     * Resume the fiber. @p tail says the caller is an event whose
+     * last action this is (start, wake, FLC fill), which lets the
+     * fiber's next sleepUntil() elide its wake event.
+     */
+    void resumeFiber(bool tail = false);
 
     /** Timed read of one word-aligned location. */
     void timeRead(Addr a);
@@ -178,6 +184,7 @@ class Processor : public ProcessorIface
     Flc &flc;
 
     std::unique_ptr<Fiber> fiber;
+    bool tailResumed = false;   //!< set by the last resumeFiber()
     bool done = false;
     Tick finishTick_ = 0;
 

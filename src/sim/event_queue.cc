@@ -83,7 +83,7 @@ EventQueue::pushRing(Event *e)
     ++ringNodes;
 }
 
-std::size_t
+inline std::size_t
 EventQueue::findRingFront() const
 {
     if (ringNodes == 0)
@@ -134,14 +134,16 @@ EventQueue::migrateOverflow()
     }
 }
 
-EventQueue::Event *
-EventQueue::popEarliestLive(Tick limit)
+// inline (with its helpers): the pop and peek paths run once per
+// event and once per queue per slab; keep them free of extra calls.
+inline EventQueue::Front
+EventQueue::frontLive()
 {
     for (;;) {
         const std::size_t idx = findRingFront();
         if (idx == ringSize) {
             if (overflow.empty())
-                return nullptr;
+                return {};
             // Ring drained: jump the window to the overflow front.
             // migrateOverflow() starts at lower_bound(horizon_), so
             // at least the front list lands in the ring.
@@ -149,51 +151,61 @@ EventQueue::popEarliestLive(Tick limit)
             migrateOverflow();
             continue;
         }
-        List &bucket = ring[idx];
-        Event *e = bucket.head;
         // An overflow tick below the ring front can only be a "gap"
         // event — one scheduled below the window after run() was
         // truncated mid-window — and is served straight from the
         // tree. Ring and overflow never share a tick, so this
         // comparison has no tie to break.
-        const bool fromRing =
-            overflow.empty() || overflow.begin()->first > e->when;
-        if (!fromRing)
-            e = overflow.begin()->second.head;
-        if (!e->cancelled && e->when > limit)
-            return nullptr;
-        if (fromRing) {
-            bucket.head = e->next;
-            if (!bucket.head)
-                bucket.tail = nullptr;
-            if (--bucket.n == 0)
-                ringBits[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-            --ringNodes;
-        } else {
-            auto it = overflow.begin();
-            List &l = it->second;
-            l.head = e->next;
-            if (!l.head)
-                l.tail = nullptr;
-            if (--l.n == 0)
-                overflow.erase(it);
-        }
-        e->next = nullptr;
-        if (e->cancelled) {
-            // Lazy deletion: reclaim the node now that the sweep
-            // reached it.
-            releaseEvent(e);
-            continue;
-        }
-        --pending_;
-        return e;
+        Front f{ring[idx].head, idx};
+        if (!overflow.empty() && overflow.begin()->first <= f.e->when)
+            f = Front{overflow.begin()->second.head, ringSize};
+        if (!f.e->cancelled)
+            return f;
+        // Lazy deletion: reclaim the node now that the sweep reached
+        // it.
+        unlinkFront(f);
+        releaseEvent(f.e);
     }
 }
 
-void
-EventQueue::execute(Event *e)
+inline void
+EventQueue::unlinkFront(const Front &f)
 {
-    now_ = e->when;
+    if (f.idx != ringSize) {
+        List &bucket = ring[f.idx];
+        bucket.head = f.e->next;
+        if (!bucket.head)
+            bucket.tail = nullptr;
+        if (--bucket.n == 0)
+            ringBits[f.idx / 64] &= ~(std::uint64_t{1} << (f.idx % 64));
+        --ringNodes;
+    } else {
+        auto it = overflow.begin();
+        List &l = it->second;
+        l.head = f.e->next;
+        if (!l.head)
+            l.tail = nullptr;
+        if (--l.n == 0)
+            overflow.erase(it);
+    }
+    f.e->next = nullptr;
+}
+
+EventQueue::Event *
+EventQueue::popEarliestLive(Tick limit)
+{
+    const Front f = frontLive();
+    if (!f.e || f.e->when > limit)
+        return nullptr;
+    unlinkFront(f);
+    --pending_;
+    return f.e;
+}
+
+void
+EventQueue::advanceTo(Tick when)
+{
+    now_ = when;
     if (horizon_ < now_) {
         // Keep the window's start pinned to now so short-delay
         // schedules (the common case) always land in the ring.
@@ -201,6 +213,12 @@ EventQueue::execute(Event *e)
         if (!overflow.empty())
             migrateOverflow();
     }
+}
+
+void
+EventQueue::execute(Event *e)
+{
+    advanceTo(e->when);
     ++numExecuted;
     // Move the callback out and release the node *before* invoking,
     // so the callback may freely schedule (and immediately reuse the
@@ -208,6 +226,23 @@ EventQueue::execute(Event *e)
     Callback cb = std::move(e->cb);
     releaseEvent(e);
     cb();
+}
+
+bool
+EventQueue::tryAdvance(Tick when)
+{
+    if (when < now_ || when >= runEnd_)
+        return false;
+    // frontLive() reclaims every cancelled node ahead of the first
+    // live one, so once it reports that live node beyond @p when,
+    // every node left lies beyond it too: the ring still holds no
+    // tick below the window start advanceTo() moves up.
+    const Front f = frontLive();
+    if (f.e && f.e->when <= when)
+        return false;
+    advanceTo(when);
+    ++numElided;
+    return true;
 }
 
 EventQueue::EventId
@@ -285,6 +320,7 @@ EventQueue::cancel(EventId id)
 bool
 EventQueue::step()
 {
+    // Not a run: runEnd_ stays 0, so tryAdvance() refuses inside it.
     Event *e = popEarliestLive(maxTick);
     if (!e)
         return false;
@@ -298,12 +334,10 @@ EventQueue::runUntil(Tick horizon)
     if (horizon == 0)
         return;
     const Tick limit = horizon - 1;
-    for (;;) {
-        Event *e = popEarliestLive(limit);
-        if (!e)
-            break;
+    runEnd_ = horizon;
+    while (Event *e = popEarliestLive(limit))
         execute(e);
-    }
+    runEnd_ = 0;
 }
 
 Tick
@@ -311,55 +345,17 @@ EventQueue::nextPendingTick()
 {
     if (pending_ == 0)
         return maxTick;
-    for (;;) {
-        const std::size_t idx = findRingFront();
-        if (idx == ringSize) {
-            if (overflow.empty())
-                return maxTick;
-            horizon_ = overflow.begin()->first;
-            migrateOverflow();
-            continue;
-        }
-        List &bucket = ring[idx];
-        Event *e = bucket.head;
-        const bool fromRing =
-            overflow.empty() || overflow.begin()->first > e->when;
-        if (!fromRing)
-            e = overflow.begin()->second.head;
-        if (!e->cancelled)
-            return e->when;
-        // Prune the cancelled front node exactly as popEarliestLive
-        // would, then look again.
-        if (fromRing) {
-            bucket.head = e->next;
-            if (!bucket.head)
-                bucket.tail = nullptr;
-            if (--bucket.n == 0)
-                ringBits[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-            --ringNodes;
-        } else {
-            auto it = overflow.begin();
-            List &l = it->second;
-            l.head = e->next;
-            if (!l.head)
-                l.tail = nullptr;
-            if (--l.n == 0)
-                overflow.erase(it);
-        }
-        e->next = nullptr;
-        releaseEvent(e);
-    }
+    const Front f = frontLive();
+    return f.e ? f.e->when : maxTick;
 }
 
 Tick
 EventQueue::run(Tick limit)
 {
-    for (;;) {
-        Event *e = popEarliestLive(limit);
-        if (!e)
-            break;
+    runEnd_ = limit == maxTick ? maxTick : limit + 1;
+    while (Event *e = popEarliestLive(limit))
         execute(e);
-    }
+    runEnd_ = 0;
     if (pending_ != 0 && now_ < limit)
         now_ = limit;
     return now_;

@@ -103,8 +103,11 @@ class EventQueue
     /** Number of pending (uncancelled) events. */
     std::size_t pending() const { return pending_; }
 
-    /** Total number of events executed so far. */
+    /** Total number of events dispatched so far. */
     std::uint64_t executed() const { return numExecuted; }
+
+    /** Number of successful tryAdvance() calls so far. */
+    std::uint64_t elided() const { return numElided; }
 
     /** High-water mark of pending(). */
     std::size_t peakPending() const { return peakPending_; }
@@ -149,6 +152,21 @@ class EventQueue
     const std::uint64_t *tickPtr() const { return &now_; }
 
     /**
+     * Move now() to @p when without dispatching anything: the
+     * wakeup-elision primitive (DESIGN.md §8.1). A caller that would
+     * schedule an event at @p when and do nothing until it fires may
+     * call this instead and carry on at once. It succeeds only
+     *  - inside run() or runUntil(), never in step() or between runs;
+     *  - for now() <= @p when within the current run's limit (below
+     *    runUntil()'s horizon, at or below run()'s limit);
+     *  - when no live event is due at or before @p when, same-tick
+     *    ones included, so no dispatch order changes.
+     * Cancelled events in the way are reclaimed and do not block it.
+     * @return true iff now() == @p when afterwards
+     */
+    bool tryAdvance(Tick when);
+
+    /**
      * Execute exactly one event (the earliest).
      * @return false if the queue was empty.
      */
@@ -175,7 +193,17 @@ class EventQueue
     void pushRing(Event *e);
     std::size_t findRingFront() const;  //!< bucket index; npos if none
     void migrateOverflow();
+
+    /** The earliest live node and where it is linked. */
+    struct Front
+    {
+        Event *e = nullptr;             //!< nullptr iff none is pending
+        std::size_t idx = ringSize;     //!< ring bucket; ringSize: tree
+    };
+    Front frontLive();                  //!< reclaims cancelled fronts
+    void unlinkFront(const Front &f);
     Event *popEarliestLive(Tick limit);
+    void advanceTo(Tick when);
     void execute(Event *e);
 
     std::vector<List> ring;           //!< ringSize one-tick buckets
@@ -183,10 +211,12 @@ class EventQueue
     std::map<Tick, List> overflow;    //!< events beyond the window
     Tick now_ = 0;
     Tick horizon_ = 0;                //!< first tick the ring covers
+    Tick runEnd_ = 0;                 //!< run's exclusive end; 0 outside
     std::size_t ringNodes = 0;        //!< nodes (live or cancelled) in ring
     std::size_t pending_ = 0;         //!< live pending events
     std::size_t peakPending_ = 0;
     std::uint64_t numExecuted = 0;
+    std::uint64_t numElided = 0;
     std::uint64_t schedAllocs_ = 0;
 
     Event *freeList = nullptr;

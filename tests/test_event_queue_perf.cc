@@ -23,6 +23,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/logging.hh"
 
 namespace cpx
 {
@@ -409,6 +410,144 @@ TEST(InlineCallback, QueueCountsHeapFallbacksAsScheduleAllocs)
     eq.run();
     EXPECT_EQ(small, 1);
     EXPECT_EQ(large, 1);
+}
+
+// ---------------------------------------------------------------------------
+// tryAdvance: the wakeup-elision primitive
+// ---------------------------------------------------------------------------
+
+TEST(EventQueueAdvance, RefusesOutsideARunAndInStep)
+{
+    EventQueue eq;
+    EXPECT_FALSE(eq.tryAdvance(0));
+    EXPECT_FALSE(eq.tryAdvance(5));
+
+    bool advanced = true;
+    eq.schedule(3, [&] { advanced = eq.tryAdvance(4); });
+    EXPECT_TRUE(eq.step());
+    EXPECT_FALSE(advanced);
+    EXPECT_EQ(eq.now(), 3u);
+
+    // A finished run leaves the queue outside a run again.
+    eq.schedule(7, [] {});
+    eq.run();
+    EXPECT_FALSE(eq.tryAdvance(9));
+    EXPECT_EQ(eq.now(), 7u);
+    EXPECT_EQ(eq.elided(), 0u);
+}
+
+TEST(EventQueueAdvance, RefusesAtAndBeyondTheRunLimit)
+{
+    // runUntil(horizon) runs ticks below the horizon only.
+    EventQueue slab;
+    std::vector<bool> got;
+    slab.schedule(10, [&] {
+        got.push_back(slab.tryAdvance(101));
+        got.push_back(slab.tryAdvance(100));
+        got.push_back(slab.tryAdvance(99));
+    });
+    slab.runUntil(100);
+    EXPECT_EQ(got, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(slab.now(), 99u);
+
+    // run(limit) runs ticks up to and including the limit.
+    EventQueue whole;
+    got.clear();
+    whole.schedule(10, [&] {
+        got.push_back(whole.tryAdvance(101));
+        got.push_back(whole.tryAdvance(100));
+    });
+    whole.run(100);
+    EXPECT_EQ(got, (std::vector<bool>{false, true}));
+    EXPECT_EQ(whole.now(), 100u);
+    EXPECT_EQ(slab.elided() + whole.elided(), 2u);
+}
+
+TEST(EventQueueAdvance, RefusesWhenALiveEventIsDueByTheTarget)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    std::vector<Tick> fired;
+    eq.schedule(10, [&] {
+        got.push_back(eq.tryAdvance(25));  // event at 20 below
+        got.push_back(eq.tryAdvance(20));  // event at 20 equal
+        got.push_back(eq.tryAdvance(10));  // same-tick event pending
+    });
+    eq.schedule(10, [&] { fired.push_back(eq.now()); });
+    eq.schedule(20, [&] {
+        fired.push_back(eq.now());
+        got.push_back(eq.tryAdvance(19));  // in the past
+        got.push_back(eq.tryAdvance(20));  // now, nothing else due
+    });
+    eq.run();
+    EXPECT_EQ(got, (std::vector<bool>{false, false, false, false, true}));
+    EXPECT_EQ(fired, (std::vector<Tick>{10, 20}));
+    EXPECT_EQ(eq.executed(), 3u);
+    EXPECT_EQ(eq.elided(), 1u);
+}
+
+TEST(EventQueueAdvance, CancelledEventsDoNotBlock)
+{
+    // One cancelled event inside the ring window, one in the
+    // overflow tree; the advance reclaims both.
+    EventQueue eq;
+    int ran = 0;
+    EventQueue::EventId near = eq.schedule(15, [&] { ++ran; });
+    EventQueue::EventId far = eq.schedule(5000, [&] { ++ran; });
+    bool advanced = false;
+    eq.schedule(10, [&] {
+        EXPECT_TRUE(eq.cancel(near));
+        EXPECT_TRUE(eq.cancel(far));
+        advanced = eq.tryAdvance(6000);
+    });
+    eq.run();
+    EXPECT_TRUE(advanced);
+    EXPECT_EQ(ran, 0);
+    EXPECT_EQ(eq.now(), 6000u);
+    EXPECT_EQ(eq.executed(), 1u);
+    EXPECT_EQ(eq.elided(), 1u);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueueAdvance, LaterSchedulesKeepTickAndInsertionOrder)
+{
+    // After an advance the ring window starts at the new now(): events
+    // scheduled at now(), inside the window and beyond it (overflow,
+    // including a tick already holding an older event) must still pop
+    // in (tick, insertion) order.
+    EventQueue eq;
+    std::vector<int> order;
+    auto mark = [&order](int id) {
+        return [&order, id] { order.push_back(id); };
+    };
+    eq.schedule(300, mark(3));
+    eq.schedule(9000, mark(7));
+    eq.schedule(10, [&] {
+        ASSERT_TRUE(eq.tryAdvance(100));
+        EXPECT_EQ(eq.now(), 100u);
+        eq.schedule(9000, mark(8));     // overflow, same tick as 7
+        eq.schedule(300, mark(4));      // ring, same tick as 3
+        eq.schedule(100, mark(0));      // at now()
+        eq.schedule(3100, mark(6));     // beyond the window
+        eq.schedule(150, mark(2));      // inside the window
+        eq.schedule(100, mark(1));      // at now(), second
+        eq.schedule(2147, mark(5));     // window's last tick
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(eq.executed(), 10u);
+}
+
+TEST(EventQueueAdvance, LoggerTickSourceReadsTheAdvancedTick)
+{
+    EventQueue eq;
+    std::uint64_t seen = 0;
+    eq.schedule(5, [&] {
+        ASSERT_TRUE(eq.tryAdvance(42));
+        seen = Logger::currentTick();
+    });
+    eq.run();
+    EXPECT_EQ(seen, 42u);
 }
 
 } // namespace

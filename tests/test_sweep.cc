@@ -303,6 +303,43 @@ TEST(SweepJson, ValidationCatchesBadDocuments)
     std::remove(path.c_str());
 }
 
+TEST(SweepJson, BaselineWarningTracksSimulatedPclocksPerSecond)
+{
+    // Two documents with the same simulated stats: the warning must
+    // follow host seconds per simulated pclock, not the dispatched
+    // event count, which wakeup elision lowers without any host
+    // slowdown.
+    auto doc = [](double host_seconds, double events_per_sec) {
+        return "{\"schema\": \"cpx-sweep-1\", \"hostSeconds\": " +
+               std::to_string(host_seconds) +
+               ", \"eventsPerSec\": " + std::to_string(events_per_sec) +
+               ", \"points\": [{\"app\": \"mp3d\", \"config\": {}, "
+               "\"execTime\": 3000, \"verified\": true}]}";
+    };
+    auto write = [](const std::string &path, const std::string &text) {
+        std::ofstream(path, std::ios::trunc) << text;
+    };
+    const std::string base = testing::TempDir() + "cpx_warn_base.json";
+    const std::string cur = testing::TempDir() + "cpx_warn_cur.json";
+    write(base, doc(1.0, 1e6));
+    std::string error, warning;
+
+    // Fewer events per pclock at the same host time: no warning.
+    write(cur, doc(1.0, 1e5));
+    EXPECT_TRUE(compareToBaseline(cur, base, error, warning)) << error;
+    EXPECT_EQ(warning, "");
+
+    // Same events/sec, 30% more host time per pclock: warns.
+    write(cur, doc(1.3, 1e6));
+    EXPECT_TRUE(compareToBaseline(cur, base, error, warning)) << error;
+    EXPECT_NE(warning.find("simulated pclocks/sec regressed >20%"),
+              std::string::npos)
+        << warning;
+
+    std::remove(base.c_str());
+    std::remove(cur.c_str());
+}
+
 TEST(SweepJson, ParserHandlesEscapesAndNesting)
 {
     JsonValue doc;

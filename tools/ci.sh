@@ -4,16 +4,18 @@
 # with chaos-network fault injection, the supervisor's fault-injection
 # self-test, a process-isolated harness smoke sweep whose JSON results
 # are validated — and, when a committed BENCH_baseline.json exists,
-# gated against the baseline (any simulated-stat drift fails; an
-# events/sec regression only warns; the in-process-generated baseline
-# makes the gate a cross-isolation-mode bit-identity check) — a
+# gated against the baseline (any simulated-stat drift fails; a
+# simulated-pclocks/sec regression only warns; the in-process-generated
+# baseline makes the gate a cross-isolation-mode bit-identity check) — a
 # resume of that sweep from its journal that must execute nothing and
 # pass the same gate, a
 # parallel-kernel bit-identity matrix (the smoke suite re-run at
 # --sim-threads=1/2/4, every results file gated against the same
 # baseline, so thread-count determinism is enforced on every sweep
-# point), a sampled mesh sweep rendered to markdown through
-# cpxreport, and a stall-attribution sweep (--attrib) gated against
+# point), the host-cost benchmark's fingerprint references
+# re-recorded and diffed against perfbench/reference.txt, a sampled
+# mesh sweep rendered to markdown through cpxreport, and a
+# stall-attribution sweep (--attrib) gated against
 # the same baseline — proving the causal profiler is observation-only
 # — then rendered to check both attribution report sections, and one
 # stress run with the checker, flight recorder and attribution all
@@ -57,7 +59,7 @@ run_suite() {
 
 # Validate a results file and, when a committed BENCH_baseline.json
 # exists, gate it against the baseline: any simulated-stat drift
-# fails; an events/sec regression only warns.
+# fails; a simulated-pclocks/sec regression only warns.
 check_json() {
     if [ -f "$root/BENCH_baseline.json" ]; then
         "$root/$prefix/tools/cpxbench" --check-json="$1" \
@@ -138,7 +140,7 @@ stage_done "resume from journal"
 # match the committed baseline byte-for-byte on every simulated stat
 # (the baseline was produced at --sim-threads=1, so passing it
 # unmodified at 2 and 4 workers IS the thread-count determinism
-# guarantee of DESIGN.md §15; the gate's >20% events/sec check also
+# guarantee of DESIGN.md §15; the gate's >20% pclocks/sec check also
 # warns on threaded-config throughput regressions). The speedup
 # summary at the end feeds the workflow's perf-trajectory job
 # summary.
@@ -155,6 +157,26 @@ done
     --perf-summary="$root/$prefix/BENCH_threads4.json" \
     --speedup-vs="$root/$prefix/BENCH_threads1.json"
 stage_done "sim-threads bit-identity matrix"
+
+# Host-cost benchmark references: configure perfbench/ (a CMake
+# package of its own, built from ../src) into the CI build dir,
+# re-record the execution time and stats fingerprint of its 25
+# fixed-input paper-scale points, and require the committed
+# perfbench/reference.txt byte for byte. A kernel optimization such as
+# wakeup elision must leave every one of them unchanged.
+echo "== perfbench references (cpx_perfbench --record)"
+pb_dir="$root/$prefix/perfbench"
+pb_ref="$root/$prefix/perfbench_reference.txt"
+cmake -S "$root/perfbench" -B "$pb_dir" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake --build "$pb_dir" --target cpx_perfbench -j >/dev/null
+rm -f "$pb_ref"
+"$pb_dir/cpx_perfbench" --record "$pb_ref" 2>/dev/null
+diff -u "$root/perfbench/reference.txt" "$pb_ref" || {
+    echo "cpx_perfbench --record differs from perfbench/reference.txt" >&2
+    exit 1
+}
+stage_done "perfbench references"
 
 # Directory-scaling smoke: the 16/64/256-node representation matrix
 # (cpxbench --only=scaling_matrix; it is kept out of the default suite

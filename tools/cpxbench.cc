@@ -61,18 +61,18 @@
  *                   carry a well-formed status/error block
  *   --baseline=P    with --check-json: additionally fail if any
  *                   simulated stat drifted from the committed
- *                   baseline file P; warn (not fail) if events/sec
- *                   regressed more than 20%
+ *                   baseline file P; warn (not fail) if simulated
+ *                   pclocks/sec regressed more than 20%
  *   --check-trace=P validate a Chrome-trace-event JSON file written
  *                   by cpxsim --trace-out (parseable, traceEvents
  *                   present, async begin/end balanced, counter
  *                   tracks well-formed and time-ordered) and exit;
  *                   runs nothing
  *   --perf-summary=P  print the throughput fields (suite totals and
- *                   per-tag events/sec) of an existing results file
+ *                   per-tag pclocks/sec) of an existing results file
  *                   and exit; runs nothing
  *   --speedup-vs=R  with --perf-summary: also print the wall-clock
- *                   and events/sec speedup of the summarized file
+ *                   and pclocks/sec speedup of the summarized file
  *                   over reference results file R (CI passes the
  *                   --sim-threads=1 run as R)
  *

@@ -315,11 +315,14 @@ main(int argc, char **argv)
                         r.dirPointerEvictions));
     }
     std::printf("kernel         %u worker(s), %llu slabs, %llu cross "
-                "messages, lookahead %llu pclocks\n",
+                "messages, lookahead %llu pclocks, %llu wakeups "
+                "elided\n",
                 r.simThreads,
                 static_cast<unsigned long long>(r.slabRounds),
                 static_cast<unsigned long long>(r.crossMessages),
-                static_cast<unsigned long long>(r.lookahead));
+                static_cast<unsigned long long>(r.lookahead),
+                static_cast<unsigned long long>(
+                    sys.totalWakeupsElided()));
     if (checker) {
         std::printf("checker        %llu checks, %llu messages "
                     "observed, 0 violations\n",
