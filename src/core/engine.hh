@@ -8,20 +8,33 @@
  * advance their node partitions through the slab [t, t + L), where L
  * is the network's minimum cross-node latency (the lookahead): a
  * message sent inside the slab cannot arrive before the slab ends,
- * so nodes never need to observe each other mid-slab. Cross-node
- * sends park in per-source outboxes; at the slab barrier the
- * coordinator drains them in canonical (send tick, source node, send
- * sequence) order — routing, traffic accounting and latency sampling
- * all happen there, so their history is identical at every worker
- * count, which is what makes the simulated statistics bit-identical
- * across --sim-threads values (including 1: the engine is the only
- * kernel; a single worker just runs every partition itself).
+ * so nodes never need to observe each other mid-slab.
+ *
+ * Ownership: node n belongs to worker n % W for the whole run, and
+ * only that worker touches the node's event queue — it inserts the
+ * node's deliveries, advances it, and records its next pending tick.
+ * The coordinator (worker 0) touches another worker's queues only
+ * while every worker is parked: before a kernel slice and when run()
+ * returns. A node with nothing due before the slab end is skipped
+ * outright.
+ *
+ * Cross-node sends park in per-source outboxes; at the slab barrier
+ * the coordinator drains them in canonical (send tick, source node,
+ * send sequence) order — routing, traffic accounting and latency
+ * sampling all happen there, so their history is identical at every
+ * worker count — and appends each routed delivery to its destination's
+ * inbox. The owner inserts the inbox into the queue at the next slab
+ * start, before running the node, so every queue sees the same
+ * insertions in the same order at every --sim-threads value
+ * (including 1: the engine is the only kernel; a single worker just
+ * owns every node).
  *
  * Kernel-queue events (interval sampler, watchdog — anything
  * scheduled through System::eq() from outside node execution) run
- * between slabs on the coordinator, with all workers parked: they
- * may read any node's statistics race-free. At a given tick, kernel
- * events run before node events.
+ * between slabs on the coordinator, with all workers parked and every
+ * inbox flushed into its queue: they may read any node's statistics
+ * and queue state race-free. At a given tick, kernel events run before
+ * node events.
  */
 
 #ifndef CPX_CORE_ENGINE_HH
@@ -57,6 +70,9 @@ struct SlabTelemetry
     std::uint64_t crossMessages = 0; //!< messages drained at barriers
     Tick lookahead = 0;              //!< slab width bound L, in ticks
     unsigned simThreads = 1;         //!< worker threads actually used
+    //! Node-slab advances actually run (a node with nothing due in a
+    //! slab is skipped); at most slabRounds x nodes, same at every W.
+    std::uint64_t nodeAdvances = 0;
 };
 
 class SlabEngine : public ParallelBridge
@@ -67,9 +83,10 @@ class SlabEngine : public ParallelBridge
      * node-private state living outside the engine (the backing
      * store's slab write overlays) tracks the engine's schedule
      * without the engine knowing about memory at all. All three are
-     * optional. enter/leave bracket each node's partition advance on
-     * the worker thread running it; commit runs on the coordinator
-     * after every slab's outboxes drain, with all workers parked.
+     * optional. enter/leave bracket each node's slab advance on the
+     * worker thread owning it (a skipped node gets neither); commit
+     * runs on the coordinator after every slab's outboxes drain, with
+     * all workers parked.
      */
     struct NodeHooks
     {
@@ -130,6 +147,42 @@ class SlabEngine : public ParallelBridge
         std::vector<PendingMsg> msgs;
     };
 
+    /** A routed cross-node message waiting for its destination's
+     *  owner to schedule it. */
+    struct Delivery
+    {
+        Tick arrival;
+        EventQueue::Callback onDeliver;
+    };
+
+    /**
+     * Per-destination mailbox, filled by the coordinator's drain in
+     * canonical order while the workers are parked and emptied into
+     * the node's queue by its owner at the next slab start.
+     */
+    struct alignas(64) Inbox
+    {
+        std::vector<Delivery> msgs;
+    };
+
+    /**
+     * One worker's nodes (n % W == worker) and what it publishes about
+     * them. Written only by that worker, except @c filled, which the
+     * coordinator appends to while the workers are parked.
+     */
+    struct alignas(64) Partition
+    {
+        //! Next pending tick of each owned node, indexed n / W: exact,
+        //! because nothing but the owner changes the queue between
+        //! two of its refreshes.
+        std::vector<Tick> next;
+        //! Owned nodes whose inbox was filled since the last slab
+        //! start; their next tick is refreshed after insertion.
+        std::vector<NodeId> filled;
+        Tick earliest = maxTick;       //!< min of next, at slab end
+        std::uint64_t advances = 0;    //!< node-slab advances run
+    };
+
     /**
      * Sense-reversing spin barrier. Spins briefly then yields, so it
      * stays cheap on dedicated cores without starving oversubscribed
@@ -169,7 +222,8 @@ class SlabEngine : public ParallelBridge
     void workerLoop(unsigned worker);
     void runPartition(unsigned worker, Tick slab_end);
     void drainOutboxes();
-    Tick earliestNodeTick() const;
+    void deliverInbox(NodeId n);
+    void flushInboxes();
 
     EventQueue &kernelQueue;
     const std::vector<std::unique_ptr<EventQueue>> &nodeQueues;
@@ -179,7 +233,12 @@ class SlabEngine : public ParallelBridge
     SlabTelemetry stats;
 
     std::vector<Outbox> outboxes;     //!< index == source node id
+    std::vector<Inbox> inboxes;       //!< index == destination node id
+    std::vector<Partition> partitions; //!< index == worker
     std::vector<PendingMsg> drainScratch;
+    //! Earliest arrival drained since the last slab start; the owners
+    //! fold these deliveries into their minima only at that start.
+    Tick undelivered = maxTick;
     std::vector<std::thread> threads; //!< workers 1..W-1 (0 = caller)
     Barrier barrier;
     Tick slabEnd = 0;                 //!< published before the start barrier

@@ -13,7 +13,8 @@
  * the committed image is frozen while workers run, so a shadow page —
  * a copy of the committed page with the node's writes applied — is a
  * complete, consistent view). At the slab barrier the coordinator
- * commits every overlay's dirty bytes in ascending node order.
+ * commits the dirty bytes of every overlay written in the slab, in
+ * ascending node order.
  *
  * This makes functional memory bit-identical at every --sim-threads
  * value by construction: causally ordered cross-node accesses (i.e.
@@ -157,6 +158,7 @@ class BackingStore
     {
         overlays.clear();
         overlays.resize(num_nodes);
+        written.assign(num_nodes, 0);
     }
 
     /** Commit any straggler writes and drop the overlays. */
@@ -185,15 +187,20 @@ class BackingStore
     }
 
     /**
-     * Apply every overlay's dirty bytes to the committed image, in
-     * ascending node order (the canonical same-slab collision rule),
-     * and clear the overlays for the next slab. Coordinator-only,
-     * with all workers parked at the barrier.
+     * Apply the dirty bytes of every overlay written since the last
+     * commit to the committed image, in ascending node order (the
+     * canonical same-slab collision rule), and clear those overlays
+     * for the next slab. Coordinator-only, with all workers parked at
+     * the barrier.
      */
     void
     commitSlab()
     {
-        for (NodeOverlay &ov : overlays) {
+        for (std::size_t n = 0; n < written.size(); ++n) {
+            if (!written[n])
+                continue;
+            written[n] = 0;
+            NodeOverlay &ov = overlays[n];
             for (auto &[page, sp] : ov.shadows) {
                 std::uint8_t *dst = ensurePage(page);
                 for (std::size_t w = 0; w < sp.dirty.size(); ++w) {
@@ -239,6 +246,7 @@ class BackingStore
     {
         ShadowPage &sp = tlsOverlay->shadows[page];
         if (!sp.bytes) {
+            written[tlsOverlay - overlays.data()] = 1;
             sp.bytes = std::make_unique<std::uint8_t[]>(pageBytes);
             // The committed image cannot change mid-slab, so this
             // snapshot stays a faithful read view for the node.
@@ -284,6 +292,10 @@ class BackingStore
         pages;
 
     std::vector<NodeOverlay> overlays;
+    //! One byte per overlay, set by its node's first shadow page since
+    //! the last commit, so a commit visits only written overlays.
+    //! Bytes, not bits: workers set their own nodes' flags at once.
+    std::vector<std::uint8_t> written;
     //! Overlay of the node currently executing on this host thread
     //! (nullptr: read/write the committed image directly).
     static inline thread_local NodeOverlay *tlsOverlay = nullptr;

@@ -11,9 +11,10 @@
  * on pairwise FIFO delivery (see DESIGN.md §"Stress harness").
  *
  * Determinism: the jitter stream is drawn from one Rng in injection
- * order, and the simulator is single-threaded, so a (seed, workload,
- * machine) triple replays bit-identically — a failing fuzz run can
- * be reproduced from its command line.
+ * order — under the slab kernel, on the coordinator in the canonical
+ * drain order (DESIGN.md §15) — so a (seed, workload, machine) triple
+ * replays bit-identically at every --sim-threads value, and a failing
+ * fuzz run can be reproduced from its command line.
  */
 
 #ifndef CPX_NET_CHAOS_NETWORK_HH

@@ -42,9 +42,10 @@ enum class MsgClass
  * this host thread, and cross-node sends are deferred — routing,
  * traffic accounting and latency sampling all happen at the slab
  * barrier, in canonical (send tick, source node, send sequence)
- * order, via acceptCross(). Without a bridge the legacy inline path
- * is used, so a bare Network over a private queue (unit tests) keeps
- * its original semantics.
+ * order, via admitCross(); the destination's owning worker schedules
+ * the delivery. Without a bridge the legacy inline path is used, so a
+ * bare Network over a private queue (unit tests) keeps its original
+ * semantics.
  */
 class ParallelBridge
 {
@@ -103,25 +104,37 @@ class Network
     }
 
     /**
-     * Deliver one cross-node message: charge traffic counters, route,
-     * sample latency and schedule @p on_deliver on @p dst_queue. The
-     * inline path of send() comes here directly; the parallel engine
-     * calls it at the slab barrier, once per mailbox entry, in
-     * canonical order — so a run's sequence of calls (and therefore
-     * every counter, link reservation and jitter draw) is identical
-     * at every --sim-threads value.
+     * Admit one cross-node message into the network: charge traffic
+     * counters, route and sample latency, and return the arrival tick
+     * without scheduling anything. The parallel engine calls it at the
+     * slab barrier, once per mailbox entry, in canonical order — so a
+     * run's sequence of calls (and therefore every counter, link
+     * reservation and jitter draw) is identical at every
+     * --sim-threads value — and hands the delivery to the
+     * destination's owner.
      */
-    void
-    acceptCross(NodeId src, NodeId dst, unsigned total_bytes,
-                MsgClass klass, Tick send_tick, EventQueue &dst_queue,
-                DeliverFn on_deliver)
+    Tick
+    admitCross(NodeId src, NodeId dst, unsigned total_bytes,
+               MsgClass klass, Tick send_tick)
     {
         ++messages_;
         bytes_ += total_bytes;
         classBytes[static_cast<unsigned>(klass)] += total_bytes;
         Tick arrival = route(src, dst, total_bytes, send_tick);
         crossLat.sample(static_cast<double>(arrival - send_tick));
-        dst_queue.schedule(arrival, std::move(on_deliver));
+        return arrival;
+    }
+
+    /** admitCross() and schedule @p on_deliver on @p dst_queue at
+     *  once: the inline path of send(). */
+    void
+    acceptCross(NodeId src, NodeId dst, unsigned total_bytes,
+                MsgClass klass, Tick send_tick, EventQueue &dst_queue,
+                DeliverFn on_deliver)
+    {
+        dst_queue.schedule(
+            admitCross(src, dst, total_bytes, klass, send_tick),
+            std::move(on_deliver));
     }
 
     /** Install (or, with nullptr, remove) the parallel kernel hooks. */
@@ -160,7 +173,7 @@ class Network
      * @p total_bytes message from @p src to @p dst injected at
      * @p now. Public so that decorators (ChaosNetwork) can delegate
      * to the model they wrap; everything else goes through send() /
-     * acceptCross().
+     * admitCross().
      */
     virtual Tick route(NodeId src, NodeId dst, unsigned total_bytes,
                        Tick now) = 0;
@@ -193,7 +206,7 @@ class Network
     Counter messages_;
     Counter bytes_;
     Counter classBytes[static_cast<unsigned>(MsgClass::NumClasses)];
-    //! Cross-node latency: sampled only in acceptCross (under the
+    //! Cross-node latency: sampled only in admitCross (under the
     //! parallel kernel: only at the barrier, in canonical order).
     Accumulator crossLat;
     //! Node-local latency, one slot per source node, cache-line

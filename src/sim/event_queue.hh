@@ -2,9 +2,10 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single EventQueue drives a whole simulated machine. Events are
- * arbitrary callbacks scheduled at absolute ticks; ties are broken by
- * insertion order so that simulations are fully deterministic.
+ * Each node of a simulated machine owns one EventQueue, and one more
+ * carries system-level events (DESIGN.md §15). Events are arbitrary
+ * callbacks scheduled at absolute ticks; ties are broken by insertion
+ * order so that simulations are fully deterministic.
  *
  * The queue is a two-level calendar: a near-future ring of one-tick
  * FIFO buckets (with a bitmap index so the next event is found by a
@@ -35,10 +36,13 @@ namespace cpx
 /**
  * A deterministic discrete-event scheduler.
  *
- * All components of one simulated system share one queue. The queue
- * is intentionally not thread-safe: the whole simulator is
- * single-threaded (determinism is a design requirement, see
- * DESIGN.md §8).
+ * The queue is intentionally not thread-safe; it needs no locks
+ * because it has one owner at a time. Under the slab kernel a node's
+ * queue is touched only by the worker that owns the node (n % W) —
+ * which inserts its cross-node deliveries, advances it and reads its
+ * next tick — or by the coordinator while every worker is parked
+ * (src/core/engine.hh, DESIGN.md §15). Determinism is a design
+ * requirement (DESIGN.md §8).
  */
 class EventQueue
 {

@@ -6,6 +6,12 @@
  * backing store's slab write overlays must implement exactly the
  * canonical race semantics the determinism argument relies on.
  *
+ * The ownership hand-off (a node's deliveries reach its queue through
+ * its owner, at the next slab start) is pinned against a golden
+ * written by the kernel that scheduled them at the barrier: observers
+ * between slabs and a run cut at its tick limit must see the same
+ * queue state.
+ *
  * The cross-thread comparisons hash the entire formatSystemStats()
  * dump — every per-node counter, histogram bucket, resource and
  * network statistic — so any divergence anywhere in the machine
@@ -17,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "check/checker.hh"
@@ -91,6 +99,29 @@ TEST(ParallelKernel, MeshSmallLookaheadMatchesSequential)
               runDump(params, "false_sharing", 0.25, 1, 4));
 }
 
+TEST(ParallelKernel, UnevenMostlyIdlePartitionMatchesSequential)
+{
+    // 64 nodes on a 16-bit mesh: 3-tick slabs in which most nodes have
+    // nothing due, so most node-slab advances are skipped, and three
+    // workers own 22/21/21 nodes. Skipping must change nothing.
+    MachineParams params = makeParams(ProtocolConfig::pcwm());
+    params.numProcs = 64;
+    params.networkKind = NetworkKind::Mesh;
+    params.meshLinkBits = 16;
+    std::string dumps[2];
+    const unsigned threads[2] = {1, 3};
+    for (int i = 0; i < 2; ++i) {
+        System sys(params, threads[i]);
+        auto w = makeWorkload("stress", 0.05, 7);
+        EXPECT_TRUE(runWorkload(sys, *w, 500'000'000).verified);
+        const SlabTelemetry &t = sys.kernelTelemetry();
+        EXPECT_LT(2 * t.nodeAdvances, t.slabRounds * params.numProcs)
+            << "the case no longer leaves most nodes idle";
+        dumps[i] = formatSystemStats(sys);
+    }
+    EXPECT_EQ(dumps[0], dumps[1]);
+}
+
 TEST(ParallelKernel, TwoRunIdentityAtFourThreads)
 {
     // Same configuration, same thread count, two fresh systems: the
@@ -128,15 +159,110 @@ TEST(ParallelKernel, TelemetryPopulatedAfterRun)
 {
     MachineParams params = makeParams(ProtocolConfig::pcw());
     params.numProcs = 8;
-    System sys(params, 2);
-    auto w = makeWorkload("migratory", 0.25);
-    WorkloadRun run = runWorkload(sys, *w, /*limit=*/500'000'000);
-    EXPECT_TRUE(run.verified);
-    const SlabTelemetry &t = sys.kernelTelemetry();
+    auto telemetryAt = [&params](unsigned sim_threads) {
+        System sys(params, sim_threads);
+        auto w = makeWorkload("migratory", 0.25);
+        WorkloadRun run = runWorkload(sys, *w, /*limit=*/500'000'000);
+        EXPECT_TRUE(run.verified);
+        return sys.kernelTelemetry();
+    };
+    const SlabTelemetry t = telemetryAt(2);
     EXPECT_GT(t.slabRounds, 0u);
     EXPECT_GT(t.crossMessages, 0u);
     EXPECT_GT(t.lookahead, 0u);
     EXPECT_EQ(t.simThreads, 2u);
+    // Node advances are exact: which nodes have work in a slab
+    // depends only on the queues, never on the worker count.
+    const SlabTelemetry t1 = telemetryAt(1);
+    const SlabTelemetry t4 = telemetryAt(4);
+    EXPECT_GT(t1.nodeAdvances, 0u);
+    EXPECT_EQ(t1.nodeAdvances, t4.nodeAdvances);
+    EXPECT_EQ(t1.nodeAdvances, t.nodeAdvances);
+    EXPECT_LE(t1.nodeAdvances, t1.slabRounds * params.numProcs);
+}
+
+// --- ownership hand-off -------------------------------------------------
+
+/**
+ * tests/data/kernel_handoff.txt, written by the kernel that scheduled
+ * cross-node deliveries into their queues at the slab barrier. The
+ * owner-computes kernel inserts them only at the next slab start, so
+ * these pin what an observer between slabs must still see.
+ */
+struct HandoffGolden
+{
+    std::string slices;             //!< the "slice" lines, in order
+    Tick limit = 0;
+    std::size_t pendingAtLimit = 0;
+};
+
+HandoffGolden
+loadHandoffGolden()
+{
+    HandoffGolden g;
+    std::ifstream in(std::string(CPX_TEST_DATA_DIR) +
+                     "/kernel_handoff.txt");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("slice ", 0) == 0)
+            g.slices += line + "\n";
+        else if (line.rfind("limit ", 0) == 0)
+            std::istringstream(line.substr(6)) >> g.limit >>
+                g.pendingAtLimit;
+    }
+    return g;
+}
+
+/** The machine and workload the golden was written on. */
+MachineParams
+handoffParams()
+{
+    MachineParams params = makeParams(ProtocolConfig::pcw());
+    params.numProcs = 8;
+    return params;
+}
+
+TEST(ParallelKernel, KernelSlicesSeeParentQueueState)
+{
+    // A kernel-queue event must find every drained delivery pending
+    // in its destination queue, as if the barrier had scheduled it.
+    const HandoffGolden golden = loadHandoffGolden();
+    ASSERT_FALSE(golden.slices.empty())
+        << "missing tests/data/kernel_handoff.txt";
+    for (unsigned w : {1u, 2u, 4u}) {
+        System sys(handoffParams(), w);
+        auto wl = makeWorkload("migratory", 0.25);
+        std::ostringstream seen;
+        sys.eq().scheduleEvery(997, [&] {
+            seen << "slice " << sys.eq().now() << ' '
+                 << sys.totalPending() << ' '
+                 << sys.totalEventsExecuted() << ' '
+                 << sys.totalPeakPending() << '\n';
+            return !sys.allProcessorsFinished();
+        });
+        EXPECT_TRUE(runWorkload(sys, *wl, 500'000'000).verified);
+        EXPECT_EQ(seen.str(), golden.slices) << "sim_threads " << w;
+    }
+}
+
+TEST(ParallelKernel, LimitStopKeepsUndeliveredMessagesPending)
+{
+    // A run cut short by its tick limit leaves messages in flight;
+    // they must be pending in their queues when the stall panic
+    // counts them.
+    const HandoffGolden golden = loadHandoffGolden();
+    ASSERT_GT(golden.limit, 0u) << "missing tests/data/kernel_handoff.txt";
+    const std::string expected =
+        "; " + std::to_string(golden.pendingAtLimit) + " events pending";
+    for (unsigned w : {1u, 4u}) {
+        EXPECT_DEATH(
+            {
+                System sys(handoffParams(), w);
+                auto wl = makeWorkload("migratory", 0.25);
+                runWorkload(sys, *wl, golden.limit);
+            },
+            expected)
+            << "sim_threads " << w;
+    }
 }
 
 TEST(ParallelKernel, ObserverForcesSequentialExecution)

@@ -314,11 +314,13 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         r.dirPointerEvictions));
     }
-    std::printf("kernel         %u worker(s), %llu slabs, %llu cross "
-                "messages, lookahead %llu pclocks, %llu wakeups "
-                "elided\n",
+    std::printf("kernel         %u worker(s), %llu slabs, %llu node "
+                "advances, %llu cross messages, lookahead %llu "
+                "pclocks, %llu wakeups elided\n",
                 r.simThreads,
                 static_cast<unsigned long long>(r.slabRounds),
+                static_cast<unsigned long long>(
+                    sys.kernelTelemetry().nodeAdvances),
                 static_cast<unsigned long long>(r.crossMessages),
                 static_cast<unsigned long long>(r.lookahead),
                 static_cast<unsigned long long>(
