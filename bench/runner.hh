@@ -417,32 +417,19 @@ bool validateTraceFile(const std::string &path, std::string &error);
 /**
  * Compare a results file against a committed baseline. Every
  * simulated stat of every point — configuration, verification,
- * execTime, time breakdown, miss rates, traffic, protocol events —
- * must match the baseline bit-for-bit; host-dependent fields
- * (hostSeconds, kernel throughput) are exempt. Returns true if
- * nothing drifted, else fills @p error with EVERY divergent point
- * (one line each, naming the point and its config hash), so one
- * check-json run shows the full blast radius instead of the first
- * casualty. A >20% regression of simulated pclocks per host second
- * (the points' summed execTime over hostSeconds) against the
- * baseline's fills @p warning but does not fail the comparison.
+ * directory counters, execTime, time breakdown, miss rates, traffic,
+ * protocol events, latency histograms, the exact counters and any
+ * timeseries — must match the baseline bit-for-bit. Host time
+ * (hostSeconds, the document's timestamp and jobs) and the kernel
+ * block's work counts are exempt and never affect the result. Returns
+ * true if nothing drifted, else fills @p error with EVERY divergent
+ * point (one line each, naming the point and its config hash; past 40
+ * the rest are counted), so one check-json run shows the full blast
+ * radius instead of the first casualty.
  */
 bool compareToBaseline(const std::string &path,
                        const std::string &baseline_path,
-                       std::string &error, std::string &warning);
-
-/**
- * Print the throughput fields of an existing results file (suite
- * totals plus a per-tag table) to stdout; used by CI to surface the
- * perf trajectory in the job summary. When @p reference_path is
- * non-empty, also print the parallel-kernel speedup of @p path over
- * the reference file (wall-clock and simulated pclocks/sec ratios,
- * labelled with each file's --sim-threads) — CI passes the
- * --sim-threads=1 results file as the reference. Returns false and
- * fills @p error if either file is unreadable.
- */
-bool printPerfSummary(const std::string &path, std::string &error,
-                      const std::string &reference_path = "");
+                       std::string &error);
 
 // --- bench-module registry -------------------------------------------------
 

@@ -8,10 +8,12 @@
  * increasing values with a MetricRegistry once, at system build time;
  * an IntervalSampler then snapshots every registered metric each
  * `interval` simulated ticks and stores the per-interval *deltas* in
- * a fixed-stride in-memory series. Sampling is passive — the sampler
- * event only reads counters — so simulated statistics are
- * bit-identical with sampling on or off, and two sampled runs of the
- * same configuration produce identical series (DESIGN.md §13).
+ * a fixed-stride in-memory series. The sampler event only reads
+ * counters, and two sampled runs of the same configuration produce
+ * identical series. Sampling is not yet neutral, though: the sampler
+ * is a kernel-queue event, each firing ends a slab, and where slabs
+ * end still moves simulated results (execTime on most smoke points;
+ * DESIGN.md §13, ROADMAP item 1).
  *
  * The registry keys columns by registration order, which is the
  * deterministic system build order (nodes ascending, then the mesh

@@ -53,9 +53,9 @@ struct WorkloadRun
  *
  * @param sample_interval when > 0, sample every registered interval
  *        metric each @p sample_interval ticks; the collected series
- *        lands in WorkloadRun::stats.timeseries. Sampling is passive:
- *        simulated statistics are bit-identical either way
- *        (DESIGN.md §13).
+ *        lands in WorkloadRun::stats.timeseries. Sampling cuts slabs,
+ *        so it can move simulated statistics (DESIGN.md §13,
+ *        ROADMAP item 1).
  */
 WorkloadRun runWorkload(System &sys, Workload &w, Tick limit = maxTick,
                         Tick sample_interval = 0);

@@ -4,8 +4,9 @@
  * multi-system fixes that make it safe: concurrent Systems on
  * separate host threads must produce bit-identical statistics to the
  * same configurations run serially, the shared checked-parse helpers
- * must reject malformed numbers, and the JSON results document must
- * round-trip through the bundled parser.
+ * must reject malformed numbers, the JSON results document must
+ * round-trip through the bundled parser, and the baseline gate must
+ * fail on every simulated-stat drift and on nothing else.
  */
 
 #include <gtest/gtest.h>
@@ -303,41 +304,135 @@ TEST(SweepJson, ValidationCatchesBadDocuments)
     std::remove(path.c_str());
 }
 
+// @p text with its first @p from replaced by @p to.
+std::string
+subst(std::string text, const std::string &from, const std::string &to)
+{
+    std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
+// A cpxbench-shaped document of @p n points for the baseline gate: the
+// gated blocks plus the host time and kernel counts it must ignore.
+// @p from is replaced by @p to in every point, or in point @p only.
+std::string
+gateDoc(std::size_t n, const std::string &from = "",
+        const std::string &to = "", std::size_t only = std::string::npos)
+{
+    std::string doc = R"({"schema": "cpx-sweep-1", "jobs": 2, )"
+                      R"("timestamp": "2026-01-01T00:00:00Z", )"
+                      R"("hostSeconds": 1.5, "points": [)";
+    for (std::size_t i = 0; i < n; ++i) {
+        std::string point =
+            R"({"tag": "fig2", "app": "mp3d", "configHash": "h)" +
+            std::to_string(i) +
+            R"(", "verified": true, "hostSeconds": 0.5, "directory": )"
+            R"({"overflowBroadcasts": 0, "pointerEvictions": 0}, )"
+            R"("execTime": 3000, "exact": {"ownershipRequests": 7, )"
+            R"("latencySum": {"readMiss": 40}}, "kernel": )"
+            R"({"eventsExecuted": 900, "slabRounds": 40}})";
+        if (!from.empty() && (only == std::string::npos || only == i))
+            point = subst(point, from, to);
+        doc += (i ? ", " : "") + point;
+    }
+    return doc + "]}";
+}
+
+// compareToBaseline over two documents written to temporary files,
+// named after the running test because ctest runs tests in parallel.
+bool
+gate(const std::string &cur, const std::string &base, std::string &error)
+{
+    const std::string stem =
+        testing::TempDir() + "cpx_gate_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name();
+    const std::string cur_path = stem + "_cur.json";
+    const std::string base_path = stem + "_base.json";
+    std::ofstream(cur_path, std::ios::trunc) << cur;
+    std::ofstream(base_path, std::ios::trunc) << base;
+    error.clear();
+    const bool ok = compareToBaseline(cur_path, base_path, error);
+    std::remove(cur_path.c_str());
+    std::remove(base_path.c_str());
+    return ok;
+}
+
+// The gate once warned on a >20% throughput regression; now host time
+// never affects it, whether 10x better or 10x worse. Host performance
+// is perfbench's to measure.
 TEST(SweepJson, BaselineWarningTracksSimulatedPclocksPerSecond)
 {
-    // Two documents with the same simulated stats: the warning must
-    // follow host seconds per simulated pclock, not the dispatched
-    // event count, which wakeup elision lowers without any host
-    // slowdown.
-    auto doc = [](double host_seconds, double events_per_sec) {
-        return "{\"schema\": \"cpx-sweep-1\", \"hostSeconds\": " +
-               std::to_string(host_seconds) +
-               ", \"eventsPerSec\": " + std::to_string(events_per_sec) +
-               ", \"points\": [{\"app\": \"mp3d\", \"config\": {}, "
-               "\"execTime\": 3000, \"verified\": true}]}";
-    };
-    auto write = [](const std::string &path, const std::string &text) {
-        std::ofstream(path, std::ios::trunc) << text;
-    };
-    const std::string base = testing::TempDir() + "cpx_warn_base.json";
-    const std::string cur = testing::TempDir() + "cpx_warn_cur.json";
-    write(base, doc(1.0, 1e6));
-    std::string error, warning;
+    for (auto [point, doc] : {std::pair{"0.05", "0.15"}, {"5", "15"}}) {
+        std::string cur = gateDoc(3, R"("hostSeconds": 0.5)",
+                                  R"("hostSeconds": )" + std::string(point));
+        cur = subst(cur, R"("hostSeconds": 1.5)",
+                    R"("hostSeconds": )" + std::string(doc));
+        std::string error;
+        EXPECT_TRUE(gate(cur, gateDoc(3), error)) << error;
+        EXPECT_EQ(error, "");
+    }
+}
 
-    // Fewer events per pclock at the same host time: no warning.
-    write(cur, doc(1.0, 1e5));
-    EXPECT_TRUE(compareToBaseline(cur, base, error, warning)) << error;
-    EXPECT_EQ(warning, "");
+TEST(SweepJson, BaselineGateIgnoresTimestampJobsAndKernelCounts)
+{
+    std::string cur = gateDoc(3, R"("eventsExecuted": 900, "slabRounds": 40)",
+                              R"("eventsExecuted": 300, "slabRounds": 45)");
+    cur = subst(cur, "2026-01-01T00:00:00Z", "2027-06-30T12:00:00Z");
+    cur = subst(cur, R"("jobs": 2)", R"("jobs": 16)");
+    std::string error;
+    EXPECT_TRUE(gate(cur, gateDoc(3), error)) << error;
+}
 
-    // Same events/sec, 30% more host time per pclock: warns.
-    write(cur, doc(1.3, 1e6));
-    EXPECT_TRUE(compareToBaseline(cur, base, error, warning)) << error;
-    EXPECT_NE(warning.find("simulated pclocks/sec regressed >20%"),
+TEST(SweepJson, BaselineGateFailsOnPointCountMismatch)
+{
+    std::string error;
+    EXPECT_FALSE(gate(gateDoc(2), gateDoc(3), error));
+    EXPECT_NE(error.find("2 points vs 3 in baseline"), std::string::npos)
+        << error;
+}
+
+TEST(SweepJson, BaselineGateNamesTheDriftedPointAndItsHash)
+{
+    std::string error;
+    const std::string cur =
+        gateDoc(3, R"("execTime": 3000)", R"("execTime": 3001)", 1);
+    EXPECT_FALSE(gate(cur, gateDoc(3), error));
+    EXPECT_NE(error.find("1 point(s) drifted"), std::string::npos) << error;
+    EXPECT_NE(error.find("point 1 (fig2/mp3d, hash=h1) drifted in "
+                         "'execTime'"),
               std::string::npos)
-        << warning;
+        << error;
+}
 
-    std::remove(base.c_str());
-    std::remove(cur.c_str());
+TEST(SweepJson, BaselineGateCoversDirectoryAndExactBlocks)
+{
+    const char *const drifts[][3] = {
+        {R"("overflowBroadcasts": 0)", R"("overflowBroadcasts": 1)",
+         "directory"},
+        {R"("pointerEvictions": 0)", R"("pointerEvictions": 4)", "directory"},
+        {R"("ownershipRequests": 7)", R"("ownershipRequests": 8)", "exact"},
+        {R"("readMiss": 40)", R"("readMiss": 41)", "exact"},
+        {R"("exact")", R"("exactBlockMissing")", "exact"},
+    };
+    for (const auto &[from, to, block] : drifts) {
+        std::string error;
+        EXPECT_FALSE(gate(gateDoc(2, from, to, 0), gateDoc(2), error)) << to;
+        EXPECT_NE(error.find("hash=h0) drifted in '" + std::string(block)),
+                  std::string::npos)
+            << error;
+    }
+}
+
+TEST(SweepJson, BaselineGateListsFortyDriftsThenCountsTheRest)
+{
+    std::string error;
+    EXPECT_FALSE(gate(gateDoc(45, R"("execTime": 3000)", R"("execTime": 6000)"),
+                      gateDoc(45), error));
+    EXPECT_NE(error.find("45 point(s) drifted"), std::string::npos) << error;
+    EXPECT_NE(error.find("hash=h39)"), std::string::npos) << error;
+    EXPECT_EQ(error.find("hash=h40)"), std::string::npos) << error;
+    EXPECT_NE(error.find("… and 5 more"), std::string::npos) << error;
 }
 
 TEST(SweepJson, ParserHandlesEscapesAndNesting)

@@ -4,16 +4,18 @@
 # with chaos-network fault injection, the supervisor's fault-injection
 # self-test, a process-isolated harness smoke sweep whose JSON results
 # are validated — and, when a committed BENCH_baseline.json exists,
-# gated against the baseline (any simulated-stat drift fails; a
-# simulated-pclocks/sec regression only warns; the in-process-generated
-# baseline makes the gate a cross-isolation-mode bit-identity check) — a
+# gated against the baseline (any simulated-stat drift fails; host
+# time is never compared; the in-process-generated baseline makes the
+# gate a cross-isolation-mode bit-identity check) — a
 # resume of that sweep from its journal that must execute nothing and
 # pass the same gate, a
 # parallel-kernel bit-identity matrix (the smoke suite re-run at
 # --sim-threads=1/2/4, every results file gated against the same
 # baseline, so thread-count determinism is enforced on every sweep
 # point), the host-cost benchmark's fingerprint references
-# re-recorded and diffed against perfbench/reference.txt, a sampled
+# re-recorded and diffed against perfbench/reference.txt, the
+# committed host-performance trajectory (BENCH_perf.jsonl) checked
+# against BENCHMARK.json by tools/perf_trajectory.py, a sampled
 # mesh sweep rendered to markdown through cpxreport, and a
 # stall-attribution sweep (--attrib) gated against
 # the same baseline — proving the causal profiler is observation-only
@@ -59,7 +61,7 @@ run_suite() {
 
 # Validate a results file and, when a committed BENCH_baseline.json
 # exists, gate it against the baseline: any simulated-stat drift
-# fails; a simulated-pclocks/sec regression only warns.
+# fails.
 check_json() {
     if [ -f "$root/BENCH_baseline.json" ]; then
         "$root/$prefix/tools/cpxbench" --check-json="$1" \
@@ -114,7 +116,6 @@ test -s "$bench_json" || {
     exit 1
 }
 check_json "$bench_json"
-"$root/$prefix/tools/cpxbench" --perf-summary="$bench_json"
 stage_done "harness smoke sweep"
 
 # Resume from the smoke journal: every point must be reused, none
@@ -140,10 +141,7 @@ stage_done "resume from journal"
 # match the committed baseline byte-for-byte on every simulated stat
 # (the baseline was produced at --sim-threads=1, so passing it
 # unmodified at 2 and 4 workers IS the thread-count determinism
-# guarantee of DESIGN.md §15; the gate's >20% pclocks/sec check also
-# warns on threaded-config throughput regressions). The speedup
-# summary at the end feeds the workflow's perf-trajectory job
-# summary.
+# guarantee of DESIGN.md §15).
 echo "== sim-threads bit-identity matrix (1 2 4)"
 for w in 1 2 4; do
     mt_json="$root/$prefix/BENCH_threads$w.json"
@@ -153,9 +151,6 @@ for w in 1 2 4; do
     check_json "$mt_json"
     echo "   --sim-threads=$w OK"
 done
-"$root/$prefix/tools/cpxbench" \
-    --perf-summary="$root/$prefix/BENCH_threads4.json" \
-    --speedup-vs="$root/$prefix/BENCH_threads1.json"
 stage_done "sim-threads bit-identity matrix"
 
 # Host-cost benchmark references: configure perfbench/ (a CMake
@@ -177,6 +172,15 @@ diff -u "$root/perfbench/reference.txt" "$pb_ref" || {
     exit 1
 }
 stage_done "perfbench references"
+
+# Host-performance trajectory: every line of the committed
+# BENCH_perf.jsonl must parse and name only the workloads and
+# end-to-end metrics BENCHMARK.json declares. Nothing is measured here:
+# rows are appended by `tools/perf_trajectory.py append` on a quiet
+# host, and two commits are compared only by perfbench's pair rule.
+echo "== perf trajectory (tools/perf_trajectory.py check)"
+python3 "$root/tools/perf_trajectory.py" check >/dev/null
+stage_done "perf trajectory"
 
 # Directory-scaling smoke: the 16/64/256-node representation matrix
 # (cpxbench --only=scaling_matrix; it is kept out of the default suite

@@ -6,7 +6,10 @@
  * 2-4, the sensitivity studies and the ablations) on one shared
  * thread pool, renders each target's paper-style text tables in
  * canonical order, and writes one machine-readable JSON document
- * with every sweep point for trend tracking.
+ * with every sweep point. That document is what the baseline gate
+ * compares: it checks simulated stats only. Host performance is
+ * measured by perfbench (perfbench/README.md) and recorded in
+ * BENCH_perf.jsonl, not here.
  *
  *   cpxbench --jobs=8 --json=BENCH_results.json
  *
@@ -20,8 +23,10 @@
  *                   by a later --scale/--procs)
  *   --sample-interval=N  sample interval metrics every N ticks and
  *                   embed the per-point "timeseries" JSON block
- *                   (0 = off, the default; simulated stats are
- *                   bit-identical either way — DESIGN.md §13)
+ *                   (0 = off, the default). Not neutral yet: the
+ *                   sampler's kernel events cut slabs, which moves
+ *                   execTime on most points (DESIGN.md §13, ROADMAP
+ *                   item 1)
  *   --attrib        profile each point's causal stall attribution
  *                   and embed the per-point "attribution" JSON block
  *                   (DESIGN.md §17). Observation-only: simulated
@@ -61,20 +66,12 @@
  *                   carry a well-formed status/error block
  *   --baseline=P    with --check-json: additionally fail if any
  *                   simulated stat drifted from the committed
- *                   baseline file P; warn (not fail) if simulated
- *                   pclocks/sec regressed more than 20%
+ *                   baseline file P (host time is never compared)
  *   --check-trace=P validate a Chrome-trace-event JSON file written
  *                   by cpxsim --trace-out (parseable, traceEvents
  *                   present, async begin/end balanced, counter
  *                   tracks well-formed and time-ordered) and exit;
  *                   runs nothing
- *   --perf-summary=P  print the throughput fields (suite totals and
- *                   per-tag pclocks/sec) of an existing results file
- *                   and exit; runs nothing
- *   --speedup-vs=R  with --perf-summary: also print the wall-clock
- *                   and pclocks/sec speedup of the summarized file
- *                   over reference results file R (CI passes the
- *                   --sim-threads=1 run as R)
  *
  * Determinism: each simulation is seeded and bit-identical at every
  * --sim-threads value (DESIGN.md §15), and results are collected by
@@ -108,8 +105,6 @@ main(int argc, char **argv)
     std::string check_json;
     std::string check_trace;
     std::string baseline;
-    std::string perf_summary;
-    std::string speedup_vs;
 
     // The shared harness flags are parseOptions()'s; only the
     // driver's own flags are handled here.
@@ -142,10 +137,6 @@ main(int argc, char **argv)
             check_trace = v;
         } else if (const char *v = value("--baseline=")) {
             baseline = v;
-        } else if (const char *v = value("--perf-summary=")) {
-            perf_summary = v;
-        } else if (const char *v = value("--speedup-vs=")) {
-            speedup_vs = v;
         } else {
             return false;
         }
@@ -159,16 +150,11 @@ main(int argc, char **argv)
         return runFaultSelfTest(opts);
 
     // The file-checking modes run nothing.
-    std::string error, warning;
+    std::string error;
     auto failed = [&error] {
         std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
         return 1;
     };
-    if (!perf_summary.empty())
-        return printPerfSummary(perf_summary, error, speedup_vs) ? 0
-                                                                 : failed();
-    if (!speedup_vs.empty())
-        fatal("--speedup-vs requires --perf-summary");
     if (!check_trace.empty()) {
         if (!validateTraceFile(check_trace, error))
             return failed();
@@ -182,11 +168,8 @@ main(int argc, char **argv)
             std::printf("%s: OK\n", check_json.c_str());
             return 0;
         }
-        if (!compareToBaseline(check_json, baseline, error, warning))
+        if (!compareToBaseline(check_json, baseline, error))
             return failed();
-        if (!warning.empty())
-            std::fprintf(stderr, "cpxbench: warning: %s\n",
-                         warning.c_str());
         std::printf("%s: OK (matches baseline %s)\n",
                     check_json.c_str(), baseline.c_str());
         return 0;

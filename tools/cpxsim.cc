@@ -49,8 +49,10 @@
  *
  * Interval metrics (see DESIGN.md §13):
  *   --sample-interval=N sample every registered metric each N ticks
- *                       (0 = off, the default). Passive: simulated
- *                       stats are bit-identical either way. The run
+ *                       (0 = off, the default). Not yet neutral:
+ *                       the sampler's events cut slabs, which moves
+ *                       execTime on most points (DESIGN.md §13,
+ *                       ROADMAP item 1). The run
  *                       summary reports the rows collected. Combined
  *                       with --trace-out, the sampled metrics also
  *                       ride in the Chrome trace as Perfetto counter
