@@ -19,7 +19,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -112,16 +111,16 @@ writeAll(int fd, const char *data, std::size_t len)
 }
 
 /**
- * Atomically replace @p path with @p content: write "<path><suffix>",
+ * Atomically replace @p path with @p content: write "<path>.tmp",
  * fsync it, then rename() into place, so readers never observe a
  * torn file. Returns false and fills @p error on any failure (the
  * temp file is removed).
  */
 bool
 atomicWriteFile(const std::string &path, const std::string &content,
-                const std::string &suffix, std::string &error)
+                std::string &error)
 {
-    const std::string tmp = path + suffix;
+    const std::string tmp = path + ".tmp";
     std::FILE *file = std::fopen(tmp.c_str(), "wb");
     if (!file) {
         error = "cannot write '" + tmp + "': " + std::strerror(errno);
@@ -157,10 +156,10 @@ fnv1a64(const std::string &s)
 // --- fault-injection synthetic points (process isolation only) -------------
 //
 // Reserved app names the forked worker intercepts before touching the
-// simulator, used by `cpxbench --self-test-faults` and the isolation
-// tests to prove the supervisor survives every failure class. They
-// never reach makeWorkload() in-process: an unknown name there is a
-// fatal() (by design — the fast path cannot survive a real crash).
+// simulator. The isolation tests (tests/test_isolate.cc) queue them to
+// prove the supervisor survives every failure class. They never reach
+// makeWorkload() in-process: an unknown name there is a fatal() (by
+// design — the fast path cannot survive a real crash).
 
 constexpr const char *faultAppCrash = "__crash";        // SIGABRT
 constexpr const char *faultAppExit = "__exit";          // _exit(9)
@@ -254,7 +253,7 @@ runWorkerChild(const SweepPoint &point, Tick sample_interval,
     if (force_unverified) {
         res.run.verified = false;
         res.status = PointStatus::InvariantFailure;
-        res.error = "self-test: forced verification failure";
+        res.error = "fault injection: forced verification failure";
     }
     std::string line = writePoint(res) + '\n';
     writeAll(fd, line.data(), line.size());
@@ -370,9 +369,9 @@ pointConfigHash(const SweepPoint &point, Tick sample_interval,
     auto d = [](double v) { return jsonNumber(v); };
     // Every field that determines the simulated result, pinned to a
     // versioned layout: changing the simulator's parameter space
-    // should change the salt, invalidating stale caches.
+    // should change the salt, invalidating old journal records.
     // --sim-threads is deliberately absent: the parallel kernel is
-    // bit-identical at every worker count, so cached results are
+    // bit-identical at every worker count, so journaled results are
     // interchangeable across thread configurations.
     key << "cpx-point-3|" << point.app << '|' << d(point.scale) << '|'
         << point.seed << '|' << sample_interval << '|' << p.numProcs
@@ -398,10 +397,10 @@ pointConfigHash(const SweepPoint &point, Tick sample_interval,
         << p.directory.pointers << '|'
         << static_cast<int>(p.directory.overflow) << '|'
         << p.directory.coarseness;
-    // Appended only when enabled so every pre-attribution cache and
-    // journal hash stays valid. Attribution never changes simulated
-    // stats, but an attributed result carries a block a plain run
-    // cannot supply — reusing a plain cached result for an attributed
+    // Appended only when enabled so every pre-attribution journal
+    // hash stays valid. Attribution never changes simulated stats,
+    // but an attributed result carries a block a plain run cannot
+    // supply — reusing a plain journaled result for an attributed
     // request would silently drop it.
     if (attrib)
         key << "|attrib";
@@ -460,15 +459,13 @@ parseOptions(int argc, char **argv, Options opts,
             opts.resumePath = arg + 9;
             if (opts.journalPath.empty())
                 opts.journalPath = opts.resumePath;
-        } else if (std::strncmp(arg, "--cache=", 8) == 0)
-            opts.cachePath = arg + 8;
-        else if (!extra || !extra(arg, opts))
+        } else if (!extra || !extra(arg, opts))
             fatal("unknown option '%s' (use --scale=F --procs=N "
                   "--jobs=N --seed=N --json=PATH "
                   "--sample-interval=N --attrib --sim-threads=N "
                   "--isolate=none|process "
                   "--timeout=SECS --retries=N --journal=PATH "
-                  "--resume=PATH --cache=DIR)",
+                  "--resume=PATH)",
                   arg);
     }
     // Journaling and result reuse work in both modes; a deadline
@@ -565,52 +562,6 @@ SweepRunner::journalAppend(const SweepResult &res)
               opts.journalPath.c_str(), std::strerror(errno));
 }
 
-void
-SweepRunner::cacheStore(const SweepResult &res)
-{
-    if (opts.cachePath.empty() || res.status != PointStatus::Ok)
-        return;
-    ::mkdir(opts.cachePath.c_str(), 0755); // EEXIST is fine
-    std::string path =
-        opts.cachePath + "/" + res.configHash + ".json";
-    std::string error;
-    char suffix[32];
-    std::snprintf(suffix, sizeof(suffix), ".tmp.%ld",
-                  static_cast<long>(::getpid()));
-    if (!atomicWriteFile(path, writePoint(res) + "\n",
-                         suffix, error))
-        std::fprintf(stderr, "cpxbench: cache store failed: %s\n",
-                     error.c_str());
-}
-
-bool
-SweepRunner::cacheLookup(const std::string &hash,
-                         SweepResult &out) const
-{
-    if (opts.cachePath.empty())
-        return false;
-    std::string path = opts.cachePath + "/" + hash + ".json";
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
-        return false;
-    std::string line;
-    if (!std::getline(file, line))
-        return false;
-    std::string error;
-    SweepResult parsed;
-    if (!readPoint(line, parsed, error) ||
-        parsed.status != PointStatus::Ok || parsed.configHash != hash) {
-        std::fprintf(stderr,
-                     "cpxbench: ignoring bad cache entry %s%s%s\n",
-                     path.c_str(), error.empty() ? "" : ": ",
-                     error.c_str());
-        return false;
-    }
-    out = std::move(parsed);
-    out.source = ResultSource::Cache;
-    return true;
-}
-
 std::size_t
 SweepRunner::failedCount() const
 {
@@ -647,7 +598,7 @@ SweepRunner::runAll()
 
     std::vector<SweepResult> batch(queued.size());
     std::vector<std::size_t> todo;
-    std::size_t reused_journal = 0, reused_cache = 0;
+    std::size_t reused = 0;
     for (std::size_t i = 0; i < queued.size(); ++i) {
         std::string hash = pointConfigHash(
             queued[i], opts.sampleInterval, opts.attrib);
@@ -658,29 +609,18 @@ SweepRunner::runAll()
             batch[i] = it->second;
             batch[i].point = queued[i];
             batch[i].source = ResultSource::Journal;
-            ++reused_journal;
-            continue;
-        }
-        SweepResult cached;
-        if (cacheLookup(hash, cached)) {
-            batch[i] = std::move(cached);
-            batch[i].point = queued[i];
-            // A cache hit still gets journaled so --resume of this
-            // run's journal covers the full suite.
-            journalAppend(batch[i]);
-            ++reused_cache;
+            ++reused;
             continue;
         }
         batch[i].point = queued[i];
         batch[i].configHash = std::move(hash);
         todo.push_back(i);
     }
-    if (reused_journal || reused_cache)
+    if (reused)
         std::fprintf(stderr,
-                     "cpxbench: reusing %zu journaled and %zu cached "
-                     "of %zu point(s); %zu to run\n",
-                     reused_journal, reused_cache, queued.size(),
-                     todo.size());
+                     "cpxbench: reusing %zu journaled of %zu point(s); "
+                     "%zu to run\n",
+                     reused, queued.size(), todo.size());
 
     if (!todo.empty()) {
         if (opts.isolate == IsolateMode::Process)
@@ -727,7 +667,6 @@ SweepRunner::runBatchInProcess(std::vector<SweepResult> &batch,
             res.point = queued[i];
             res.configHash = batch[i].configHash;
             journalAppend(res);
-            cacheStore(res);
             batch[i] = std::move(res);
             progress.done(batch[i]);
         }
@@ -824,7 +763,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
     };
 
     // Reap the worker, classify the outcome, and either re-queue the
-    // point for a retry or finalize it (journal + cache + batch).
+    // point for a retry or finalize it (journal + batch).
     auto finalize = [&](Worker &w) {
         int wstatus = 0;
         while (::waitpid(w.pid, &wstatus, 0) < 0 && errno == EINTR) {}
@@ -891,7 +830,6 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
         }
 
         journalAppend(res);
-        cacheStore(res);
         ++executed;
         batch[w.index] = std::move(res);
         progress.done(batch[w.index]);
@@ -1044,7 +982,7 @@ writeJson(const std::string &path, const std::string &suite,
     // never leave a torn results file behind to poison a later
     // --baseline comparison.
     std::string error;
-    if (!atomicWriteFile(path, out.str(), ".tmp", error))
+    if (!atomicWriteFile(path, out.str(), error))
         fatal("%s", error.c_str());
 }
 
@@ -1313,11 +1251,11 @@ parseJson(const std::string &text, JsonValue &out, std::string &error)
 //
 // The cpx-sweep-1 point object is the one record format: the sweep
 // file lists it, the journal and the worker pipe carry it one per
-// line, the cache one per file. pointFields() is its single field
-// table; PointCodec<false> walks it to encode a record and
-// PointCodec<true> walks it to restore a SweepResult bit-identically
-// — u64 counters as exact decimal integers (reread with strtoull,
-// not through a double), doubles as %.17g. Derived members (rates,
+// line. pointFields() is its single field table; PointCodec<false>
+// walks it to encode a record and PointCodec<true> walks it to
+// restore a SweepResult bit-identically — u64 counters as exact
+// decimal integers (reread with strtoull, not through a double),
+// doubles as %.17g. Derived members (rates,
 // percentiles) exist for readers of the sweep file and are skipped on
 // decode. The baseline gate compares every block except hostSeconds
 // and "kernel"; the "exact" block carries what the other blocks drop,
@@ -2106,9 +2044,9 @@ compareToBaseline(const std::string &path,
         "protocolEvents", "latency", "exact", "timeseries",
     };
     // Collect every divergent point (with its config hash, so the
-    // culprit can be re-run or evicted from a result cache by name)
-    // instead of bailing at the first: one look at the message shows
-    // whether a drift is a single config or systemic.
+    // culprit can be found and re-run by name) instead of bailing at
+    // the first: one look at the message shows whether a drift is a
+    // single config or systemic.
     std::vector<std::string> diffs;
     for (std::size_t i = 0; i < cur_pts.size(); ++i) {
         const JsonValue &c = cur_pts[i];
@@ -2184,147 +2122,15 @@ loadJournal(const std::string &path)
                          path.c_str(), lineno, err.c_str());
             continue;
         }
+        // Only a completed point is reusable. A failed outcome may be
+        // host-transient (a crash, a timeout), so its point re-runs.
+        if (!res.ok())
+            continue;
         res.source = ResultSource::Journal;
         load.byHash[res.configHash] = std::move(res);
         ++load.entries;
     }
     return load;
-}
-
-// --- fault-injection self-test ---------------------------------------------
-
-int
-runFaultSelfTest(const Options &base)
-{
-    char tmpl[] = "/tmp/cpx-selftest-XXXXXX";
-    if (!::mkdtemp(tmpl)) {
-        std::fprintf(stderr, "self-test: mkdtemp: %s\n",
-                     std::strerror(errno));
-        return 1;
-    }
-    const std::string dir = tmpl;
-
-    // Small, fast grid parameters; the self-test exercises the
-    // supervisor, not the simulator.
-    Options opts = base;
-    opts.isolate = IsolateMode::Process;
-    opts.scale = std::min(opts.scale, 0.2);
-    opts.procs = 4;
-    opts.retries = 0;
-    if (opts.timeoutSec <= 0)
-        opts.timeoutSec = 5.0;
-    if (opts.jobs == 0)
-        opts.jobs = 4;
-    MachineParams params;
-
-    int failures = 0;
-    auto check = [&](bool cond, const char *what) {
-        std::printf("  %s: %s\n", cond ? "ok" : "FAIL", what);
-        if (!cond)
-            ++failures;
-    };
-
-    std::printf("[1/4] outcome classification under --isolate="
-                "process\n");
-    std::size_t h_crash, h_exit, h_hang, h_garbage, h_unverified,
-        h_ok;
-    {
-        Options o = opts;
-        o.journalPath = dir + "/classify.jsonl";
-        SweepRunner runner(o);
-        h_crash = runner.add(faultAppCrash, params, "crash");
-        h_exit = runner.add(faultAppExit, params, "exit");
-        h_hang = runner.add(faultAppHang, params, "hang");
-        h_garbage = runner.add(faultAppGarbage, params, "garbage");
-        h_unverified =
-            runner.add(faultAppUnverified, params, "unverified");
-        h_ok = runner.add("migratory", params, "healthy");
-        runner.runAll();
-        check(runner[h_crash].status == PointStatus::Signal,
-              "crashing worker classified as signal");
-        check(runner[h_exit].status == PointStatus::NonzeroExit,
-              "exiting worker classified as nonzero-exit");
-        check(runner[h_hang].status == PointStatus::Timeout,
-              "hanging worker classified as timeout");
-        check(runner[h_garbage].status == PointStatus::Garbage,
-              "garbage-emitting worker classified as garbage");
-        check(runner[h_unverified].status ==
-                  PointStatus::InvariantFailure,
-              "unverified worker classified as invariant-failure");
-        check(runner[h_ok].ok(), "healthy point completed ok");
-        check(runner.failedCount() == 5,
-              "exactly the five injected faults failed");
-    }
-
-    std::printf("[2/4] transient-failure retry\n");
-    {
-        Options o = opts;
-        o.retries = 1;
-        const std::string marker = dir + "/flaky.marker";
-        ::setenv(flakyMarkerEnv, marker.c_str(), 1);
-        SweepRunner runner(o);
-        std::size_t h = runner.add(faultAppFlaky, params, "flaky");
-        runner.runAll();
-        ::unsetenv(flakyMarkerEnv);
-        std::remove(marker.c_str());
-        check(runner[h].ok(), "flaky point succeeded after retry");
-        check(runner[h].attempts == 2,
-              "flaky point took exactly two attempts");
-    }
-
-    std::printf("[3/4] subprocess stats bit-identical to "
-                "in-process\n");
-    auto run = [&params](const Options &o) {
-        auto runner = std::make_unique<SweepRunner>(o);
-        for (const char *app :
-             {"migratory", "producer_consumer", "false_sharing"})
-            runner->add(app, params, app);
-        runner->runAll();
-        return runner;
-    };
-    // hostSeconds is the one legitimately host-dependent field;
-    // everything else must match to the bit.
-    auto identical = [](const SweepRunner &a, const SweepRunner &b) {
-        for (std::size_t i = 0; i < a.results().size(); ++i) {
-            SweepResult x = a[i], y = b[i];
-            x.hostSeconds = y.hostSeconds = 0;
-            if (writePoint(x) != writePoint(y))
-                return false;
-        }
-        return true;
-    };
-    Options in = opts;
-    in.isolate = IsolateMode::None;
-    in.timeoutSec = 0;
-    Options journaled = opts;
-    journaled.journalPath = dir + "/resume.jsonl";
-    auto r_in = run(in);
-    auto r_proc = run(journaled);
-    check(identical(*r_in, *r_proc),
-          "all healthy points bit-identical across modes");
-
-    std::printf("[4/4] journal resume skips completed points\n");
-    Options resume = journaled;
-    resume.resumePath = journaled.journalPath;
-    auto r_resumed = run(resume);
-    check(r_proc->executedCount() == 3 &&
-              r_resumed->executedCount() == 0,
-          "resumed run re-executed nothing");
-    check(identical(*r_in, *r_resumed),
-          "resumed stats identical to the in-process run");
-
-    // Best-effort cleanup of the scratch dir.
-    for (const char *name :
-         {"classify.jsonl", "flaky.marker", "resume.jsonl"})
-        std::remove((dir + "/" + name).c_str());
-    ::rmdir(dir.c_str());
-
-    if (failures) {
-        std::printf("self-test: %d check(s) FAILED\n", failures);
-        return 1;
-    }
-    std::printf("self-test: all checks passed\n");
-    return 0;
 }
 
 // --- bench-module registry -------------------------------------------------

@@ -75,7 +75,6 @@ struct Options
                               //!< failures (process mode only)
     std::string journalPath;  //!< append-only JSONL outcome journal
     std::string resumePath;   //!< journal to resume from (skip done)
-    std::string cachePath;    //!< content-addressed result cache dir
 };
 
 /**
@@ -90,7 +89,7 @@ using ExtraOption = std::function<bool(const char *arg, Options &opts)>;
  *   --scale=F --procs=N --jobs=N --seed=N --json=PATH
  *   --sample-interval=N --attrib --sim-threads=N
  *   --isolate=none|process --timeout=SECONDS
- *   --retries=N --journal=PATH --resume=PATH --cache=DIR
+ *   --retries=N --journal=PATH --resume=PATH
  * starting from @p defaults (CPX_SCALE in the environment seeds the
  * default scale). Flags are applied in order, so a later flag
  * overrides an earlier one; an argument none of them matches goes to
@@ -141,7 +140,6 @@ enum class ResultSource
 {
     Executed,  //!< ran in this process (or a worker it forked)
     Journal,   //!< reused from a --resume journal
-    Cache,     //!< reused from the --cache directory
 };
 
 /** One finished configuration. */
@@ -165,11 +163,12 @@ struct SweepResult
  * over every field that determines the simulated result — app, the
  * complete MachineParams, scale, seed, and the sample interval.
  * Identical hashes mean bit-identical stats (simulations are
- * deterministic), which is what lets the journal and the result
- * cache reuse points across runs. @p attrib salts the hash only when
- * enabled (it changes the result's *content*, like the sample
- * interval, though never its simulated stats), so every pre-existing
- * cache and journal hash stays valid.
+ * deterministic), which is what lets a --resume journal reuse
+ * points across runs. The hash covers the configuration, not the
+ * simulator's code: a journal is only valid for the build that wrote
+ * it. @p attrib salts the hash only when enabled (it changes the
+ * result's *content*, like the sample interval, though never its
+ * simulated stats), so every pre-existing journal hash stays valid.
  */
 std::string pointConfigHash(const SweepPoint &point,
                             Tick sample_interval,
@@ -198,12 +197,12 @@ class SweepRunner
 
     /**
      * Run every queued-but-unfinished point; blocks until all are
-     * done (or the run is interrupted). Points whose config hash is
-     * found in the --resume journal or the --cache directory are
-     * reused without executing; the rest run on the in-process
-     * thread pool (--isolate=none) or in forked worker subprocesses
-     * (--isolate=process). Every newly finalized outcome is appended
-     * to the journal (fsync'd) before the suite moves on.
+     * done (or the run is interrupted). Points whose config hash has
+     * an ok record in the --resume journal are reused without
+     * executing; the rest, including points journaled as failed, run
+     * on the in-process thread pool (--isolate=none) or in forked
+     * worker subprocesses (--isolate=process). Every newly finalized outcome
+     * is appended to the journal (fsync'd) before the suite moves on.
      *
      * Failure policy: under --isolate=none a failed verification
      * fatal()s after all workers have joined, naming each failing
@@ -252,9 +251,6 @@ class SweepRunner
   private:
     void loadResumeJournal();
     void journalAppend(const SweepResult &result);
-    void cacheStore(const SweepResult &result);
-    bool cacheLookup(const std::string &hash,
-                     SweepResult &out) const;
     void runBatchInProcess(std::vector<SweepResult> &batch,
                            const std::vector<std::size_t> &todo);
     void runBatchProcess(std::vector<SweepResult> &batch,
@@ -292,15 +288,15 @@ constexpr int exitCodePointsFailed = 3;
 /** SIGINT/SIGTERM stopped the sweep; completed work is journaled. */
 constexpr int exitCodeInterrupted = 130;
 
-// --- point record: sweep file, journal, cache and worker pipe -------------
+// --- point record: sweep file, journal and worker pipe --------------------
 
 /**
  * Encode one finished point as the single-line cpx-sweep-1 point
  * object (DESIGN.md §11). The sweep file lists these records; the
- * journal and the worker pipe carry one per line, the cache one per
- * file. A completed point carries every RunResult field at full
- * fidelity (u64s exact, doubles via %.17g); a failed point carries
- * its classification only.
+ * journal and the worker pipe carry one per line. A completed point
+ * carries every RunResult field at full fidelity (u64s exact,
+ * doubles via %.17g); a failed point carries its classification
+ * only.
  */
 std::string writePoint(const SweepResult &result);
 
@@ -313,11 +309,11 @@ std::string writePoint(const SweepResult &result);
 bool readPoint(const std::string &line, SweepResult &out,
                std::string &error);
 
-/** Journal contents, indexed by config hash (later lines win). */
+/** A journal's reusable records, indexed by config hash. */
 struct JournalLoad
 {
-    std::map<std::string, SweepResult> byHash;
-    std::size_t entries = 0;      //!< valid records loaded
+    std::map<std::string, SweepResult> byHash;  //!< ok records only
+    std::size_t entries = 0;      //!< ok records loaded
     std::size_t stale = 0;        //!< retired-format records (re-run)
     std::size_t quarantined = 0;  //!< corrupt/truncated lines
     std::string quarantineFile;   //!< where bad lines were copied
@@ -327,23 +323,13 @@ struct JournalLoad
  * Load a JSONL outcome journal. Corrupt or truncated lines are
  * quarantined, not silently skipped: each is appended verbatim to
  * "<path>.quarantine", counted, and warn()ed about, while every
- * valid line is kept. Records in the retired "cpx-wire-1" format are
- * counted as stale and skipped, so their points re-run. A missing
+ * valid line is parsed. Only ok records are kept: a failed outcome
+ * (a crash, a timeout, a failed verification) is not reused, so its
+ * point re-runs. Records in the retired "cpx-wire-1" format are
+ * counted as stale and skipped, so their points re-run too. A missing
  * journal loads as empty.
  */
 JournalLoad loadJournal(const std::string &path);
-
-/**
- * Built-in fault-injection self test (cpxbench --self-test-faults):
- * runs a process-isolated suite containing deliberately crashing,
- * exiting, hanging, garbage-emitting, flaky and unverifiable
- * synthetic points next to healthy ones, and checks that the
- * supervisor classifies every failure class correctly, that healthy
- * points' stats are bit-identical to an in-process run, and that a
- * journal resume reuses every completed point without re-executing
- * any. Returns 0 on success, 1 on any mismatch (details on stderr).
- */
-int runFaultSelfTest(const Options &base);
 
 // --- minimal JSON reader (validation / round-trip tests) -------------------
 

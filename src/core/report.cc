@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "sim/logging.hh"
+
 namespace cpx
 {
 
@@ -91,10 +93,10 @@ formatSystemStats(System &sys)
 {
     const MachineParams &p = sys.params();
     std::string out;
-    char line[192];
+    // append() grows the string to fit, so no line is cut off at a
+    // fixed buffer size.
     auto emit = [&](const char *fmt, auto... args) {
-        std::snprintf(line, sizeof(line), fmt, args...);
-        out += line;
+        append(out, fmt, args...);
     };
     auto ull = [](std::uint64_t v) {
         return static_cast<unsigned long long>(v);
@@ -138,16 +140,14 @@ formatSystemStats(System &sys)
         emit("proc%u.lockAcquires %llu\n", n,
              ull(node.proc.lockAcquires()));
 
-        // The FLC and write cache expose Counter references: use the
-        // generic StatGroup renderer for them.
-        StatGroup flc_group("node" + std::to_string(n) + ".flc");
-        flc_group.addCounter("readHits", &node.flc.readHitCount());
-        flc_group.addCounter("readMisses",
-                             &node.flc.readMissCount());
-        flc_group.addCounter("writeHits", &node.flc.writeHitCount());
-        flc_group.addCounter("writeMisses",
-                             &node.flc.writeMissCount());
-        flc_group.dump(out);
+        emit("node%u.flc.readHits %llu\n", n,
+             ull(node.flc.readHitCount().value()));
+        emit("node%u.flc.readMisses %llu\n", n,
+             ull(node.flc.readMissCount().value()));
+        emit("node%u.flc.writeHits %llu\n", n,
+             ull(node.flc.writeHitCount().value()));
+        emit("node%u.flc.writeMisses %llu\n", n,
+             ull(node.flc.writeMissCount().value()));
 
         const SlcController &slc = node.slc;
         emit("node%u.slc.readMissCold %llu\n", n,
@@ -179,13 +179,10 @@ formatSystemStats(System &sys)
         emit("node%u.prefetch.useful %llu\n", n,
              ull(slc.prefetchEngine().useful()));
 
-        StatGroup wc_group("node" + std::to_string(n) +
-                           ".writeCache");
-        wc_group.addCounter("combinedWrites",
-                            &slc.writeCacheUnit().combinedWrites());
-        wc_group.addCounter("victimFlushes",
-                            &slc.writeCacheUnit().victimFlushes());
-        wc_group.dump(out);
+        emit("node%u.writeCache.combinedWrites %llu\n", n,
+             ull(slc.writeCacheUnit().combinedWrites().value()));
+        emit("node%u.writeCache.victimFlushes %llu\n", n,
+             ull(slc.writeCacheUnit().victimFlushes().value()));
 
         const DirectoryController &dir = node.dir;
         emit("node%u.dir.readRequests %llu\n", n,

@@ -1,7 +1,5 @@
 #include "sim/stats.hh"
 
-#include <cstdio>
-
 #include "sim/logging.hh"
 
 namespace cpx
@@ -55,24 +53,6 @@ Histogram::merge(const Histogram &other)
         buckets[i] += other.buckets[i];
     overflow += other.overflow;
     acc.merge(other.acc);
-}
-
-void
-StatGroup::dump(std::string &out) const
-{
-    // Names are unbounded (they embed node numbers and caller-chosen
-    // prefixes): format through a measured two-pass vsnprintf so
-    // long group/stat names are never silently truncated.
-    for (const auto &[stat_name, counter] : counters) {
-        append(out, "%s.%s %llu\n", name_.c_str(), stat_name.c_str(),
-               static_cast<unsigned long long>(counter->value()));
-    }
-    for (const auto &[stat_name, acc] : accumulators) {
-        append(out, "%s.%s count=%llu mean=%.4f min=%.4f max=%.4f\n",
-               name_.c_str(), stat_name.c_str(),
-               static_cast<unsigned long long>(acc->count()),
-               acc->mean(), acc->min(), acc->max());
-    }
 }
 
 } // namespace cpx

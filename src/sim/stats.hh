@@ -2,10 +2,10 @@
  * @file
  * Lightweight statistics primitives.
  *
- * Stats are plain value types owned by the component they describe;
- * a StatGroup gives them names so reports can be generated
- * generically. There is no global registry: a simulated System owns
- * the root group, so several systems can coexist in one process
+ * Stats are plain value types owned by the component they describe.
+ * Reports name them where they are rendered (core/report.cc; the
+ * interval metrics register theirs with obs/metrics.hh). There is no
+ * global registry, so several systems can coexist in one process
  * (needed by the benchmark harness, which runs many configurations).
  */
 
@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -184,38 +183,6 @@ class Histogram
     std::vector<std::uint64_t> buckets;
     std::uint64_t overflow = 0;
     Accumulator acc;
-};
-
-/**
- * A named bag of scalar statistics for report generation. Components
- * register references to their counters; dump() walks them.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void
-    addCounter(const std::string &stat_name, const Counter *c)
-    {
-        counters[stat_name] = c;
-    }
-
-    void
-    addAccumulator(const std::string &stat_name, const Accumulator *a)
-    {
-        accumulators[stat_name] = a;
-    }
-
-    const std::string &name() const { return name_; }
-
-    /** Render "group.stat value" lines into @p out. */
-    void dump(std::string &out) const;
-
-  private:
-    std::string name_;
-    std::map<std::string, const Counter *> counters;
-    std::map<std::string, const Accumulator *> accumulators;
 };
 
 } // namespace cpx

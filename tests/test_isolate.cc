@@ -235,8 +235,13 @@ TEST(IsolateJournal, ResumeSkipsExactlyTheCompletedSet)
             "j"));
         handles.push_back(runner.add(
             "false_sharing", makeParams(ProtocolConfig::cw()), "j"));
+        // A crash is journaled like any outcome but never reused: it
+        // may be host-transient, so every resume runs it again.
+        handles.push_back(runner.add(
+            "__crash", makeParams(ProtocolConfig::pcw()), "j/crash"));
         return handles;
     };
+    const std::size_t completed = 3;  // the ok points, crash excluded
 
     Options opts = isolateOptions();
     opts.journalPath = journal;
@@ -244,23 +249,28 @@ TEST(IsolateJournal, ResumeSkipsExactlyTheCompletedSet)
     auto handles = addAll(first);
     first.runAll();
     EXPECT_EQ(first.executedCount(), handles.size());
+    EXPECT_EQ(first[handles[completed]].status, PointStatus::Signal);
+    EXPECT_EQ(loadJournal(journal).entries, completed);
 
-    // Same grid, resuming from the journal: nothing re-executes, and
-    // every reused result is bit-identical.
+    // Same grid, resuming from the journal: only the crashed point
+    // re-executes, and every reused result is bit-identical.
     Options resume = isolateOptions();
     resume.resumePath = journal;
     SweepRunner second(resume);
     auto handles2 = addAll(second);
     second.runAll();
-    EXPECT_EQ(second.executedCount(), 0u);
-    for (std::size_t i = 0; i < handles.size(); ++i) {
+    EXPECT_EQ(second.executedCount(), 1u);
+    for (std::size_t i = 0; i < completed; ++i) {
         SCOPED_TRACE(first[handles[i]].point.app);
         EXPECT_EQ(second[handles2[i]].source, ResultSource::Journal);
         EXPECT_TRUE(second[handles2[i]].ok());
         EXPECT_EQ(record(first[handles[i]]), record(second[handles2[i]]));
     }
+    EXPECT_EQ(second[handles2[completed]].source, ResultSource::Executed);
+    EXPECT_EQ(second[handles2[completed]].status, PointStatus::Signal);
 
-    // A grid with one extra point resumes the three and runs only it.
+    // A grid with one extra point resumes the three ok points and
+    // runs only the crash and the new point.
     Options partial = isolateOptions();
     partial.resumePath = journal;
     SweepRunner third(partial);
@@ -268,10 +278,11 @@ TEST(IsolateJournal, ResumeSkipsExactlyTheCompletedSet)
     std::size_t h_new = third.add(
         "migratory", makeParams(ProtocolConfig::pm()), "j/new");
     third.runAll();
-    EXPECT_EQ(third.executedCount(), 1u);
+    EXPECT_EQ(third.executedCount(), 2u);
     EXPECT_TRUE(third[h_new].ok());
     EXPECT_EQ(third[h_new].source, ResultSource::Executed);
-    (void)handles3;
+    for (std::size_t i = 0; i < completed; ++i)
+        EXPECT_EQ(third[handles3[i]].source, ResultSource::Journal);
 
     std::remove(journal.c_str());
 }

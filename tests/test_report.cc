@@ -87,23 +87,6 @@ TEST(Report, PrintersDoNotCrash)
     printRelativeTraffic("test", results, results[0]);
 }
 
-TEST(Report, StatGroupRendersCountersAndAccumulators)
-{
-    Counter c;
-    c += 7;
-    Accumulator a;
-    a.sample(2.0);
-    a.sample(4.0);
-    StatGroup group("g");
-    group.addCounter("events", &c);
-    group.addAccumulator("latency", &a);
-    std::string out;
-    group.dump(out);
-    EXPECT_NE(out.find("g.events 7"), std::string::npos);
-    EXPECT_NE(out.find("g.latency count=2 mean=3.0000"),
-              std::string::npos);
-}
-
 TEST(Logging, TagSwitchboard)
 {
     Logger::disableAll();

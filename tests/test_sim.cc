@@ -147,28 +147,6 @@ TEST(Stats, HistogramMergeAddsBuckets)
     EXPECT_DOUBLE_EQ(a.summary().max(), 100.0);
 }
 
-TEST(Stats, StatGroupDumpNeverTruncatesLongNames)
-{
-    // Regression: dump() used a 256-byte line buffer, silently
-    // truncating long group/stat names. Build a line far past that.
-    std::string group_name(300, 'g');
-    std::string stat_name(300, 's');
-    StatGroup group(group_name);
-    Counter c;
-    c += 42;
-    group.addCounter(stat_name, &c);
-    Accumulator acc;
-    acc.sample(1.5);
-    group.addAccumulator(stat_name + "2", &acc);
-
-    std::string out;
-    group.dump(out);
-    EXPECT_NE(out.find(group_name + "." + stat_name + " 42\n"),
-              std::string::npos);
-    EXPECT_NE(out.find(stat_name + "2 count=1 mean=1.5000"),
-              std::string::npos);
-}
-
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(7), b(7), c(8);

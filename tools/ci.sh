@@ -1,12 +1,12 @@
 #!/bin/sh
 # Continuous-integration driver: plain build + tests, sanitized build
 # + tests, a short seeded stress pass under the coherence checker
-# with chaos-network fault injection, the supervisor's fault-injection
-# self-test, a process-isolated harness smoke sweep whose JSON results
-# are validated — and, when a committed BENCH_baseline.json exists,
-# gated against the baseline (any simulated-stat drift fails; host
-# time is never compared; the in-process-generated baseline makes the
-# gate a cross-isolation-mode bit-identity check) — a
+# with chaos-network fault injection, a process-isolated harness
+# smoke sweep whose JSON results are validated — and, when a
+# committed BENCH_baseline.json exists, gated against the baseline
+# (any simulated-stat drift fails; host time is never compared; the
+# in-process-generated baseline makes the gate a cross-isolation-mode
+# bit-identity check) — a
 # resume of that sweep from its journal that must execute nothing and
 # pass the same gate, a
 # parallel-kernel bit-identity matrix (the smoke suite re-run at
@@ -29,8 +29,8 @@
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 #
 # Environment:
-#   CPX_CI_JOBS   host parallelism for ctest and the bench sweep
-#                 (default 2)
+#   CPX_CI_JOBS   host parallelism for the builds, ctest and the
+#                 bench sweeps (default 2)
 set -eu
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -53,7 +53,7 @@ run_suite() {
     echo "== configure $dir ($*)"
     cmake -S "$root" -B "$root/$dir" "$@" >/dev/null
     echo "== build $dir"
-    cmake --build "$root/$dir" -j >/dev/null
+    cmake --build "$root/$dir" -j "$jobs" >/dev/null
     echo "== test $dir (ctest -j $jobs)"
     ctest --test-dir "$root/$dir" --output-on-failure -j "$jobs" >/dev/null
     stage_done "$dir"
@@ -87,15 +87,6 @@ for seed in 3 17; do
     done
 done
 stage_done "stress spot-checks"
-
-# Fault-injection self-test: the process-isolation supervisor must
-# classify deliberately crashing / exiting / hanging / garbage /
-# flaky / unverifiable workers, keep healthy results bit-identical
-# to the in-process pool, and resume from its journal without
-# re-executing (DESIGN.md §14).
-echo "== fault-injection self-test (cpxbench --self-test-faults)"
-"$root/$prefix/tools/cpxbench" --self-test-faults >/dev/null
-stage_done "fault-injection self-test"
 
 # Harness smoke sweep: the whole table/figure suite at reduced scale,
 # run under process isolation with a journal. The committed baseline
@@ -164,7 +155,7 @@ pb_dir="$root/$prefix/perfbench"
 pb_ref="$root/$prefix/perfbench_reference.txt"
 cmake -S "$root/perfbench" -B "$pb_dir" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$pb_dir" --target cpx_perfbench -j >/dev/null
+cmake --build "$pb_dir" --target cpx_perfbench -j "$jobs" >/dev/null
 rm -f "$pb_ref"
 "$pb_dir/cpx_perfbench" --record "$pb_ref" 2>/dev/null
 diff -u "$root/perfbench/reference.txt" "$pb_ref" || {

@@ -48,14 +48,9 @@
  *                   (default 1; process mode)
  *   --journal=P     append each finished point to JSONL journal P
  *                   (fsync'd before the point counts as done)
- *   --resume=P      skip points already completed in journal P
- *                   (implies --journal=P unless given separately)
- *   --cache=DIR     content-addressed result cache: reuse identical
- *                   configurations across runs, store new ones
- *   --self-test-faults  run the built-in fault-injection self-test
- *                   (deliberately crashing/hanging/garbage workers)
- *                   and exit 0 iff the supervisor classifies and
- *                   survives every failure class
+ *   --resume=P      reuse the points journal P records as ok; the
+ *                   rest, failed ones included, run again (implies
+ *                   --journal=P unless given separately)
  *   --only=A,B      run only the named bench targets (the only way
  *                   to run an opt-in target such as scaling_matrix)
  *   --list          list bench targets and exit
@@ -100,7 +95,6 @@ main(int argc, char **argv)
 
     std::vector<std::string> only;
     bool list_only = false;
-    bool self_test = false;
     bool allow_failed = false;
     std::string check_json;
     std::string check_trace;
@@ -125,8 +119,6 @@ main(int argc, char **argv)
                     only.push_back(list.substr(pos, comma - pos));
                 pos = comma + 1;
             }
-        } else if (std::strcmp(arg, "--self-test-faults") == 0) {
-            self_test = true;
         } else if (std::strcmp(arg, "--allow-failed") == 0) {
             allow_failed = true;
         } else if (std::strcmp(arg, "--list") == 0) {
@@ -145,9 +137,6 @@ main(int argc, char **argv)
     Options defaults;
     defaults.jsonPath = "BENCH_results.json";
     const Options opts = parseOptions(argc, argv, defaults, driver_flag);
-
-    if (self_test)
-        return runFaultSelfTest(opts);
 
     // The file-checking modes run nothing.
     std::string error;
